@@ -4,12 +4,11 @@ The degradation ladder (the ``DurabilityGuard`` inside
 :class:`~repro.serve.wal.DurablePlanCache`) must be free where it
 matters and honest where it fires:
 
-* **disk_guard_tax** (gated <= 5% by
-  :func:`harness.check_disk_faults`) -- the guarded cache vs. the
-  fail-fast cache on the cache-hit path, at ``p`` in {4, 64}.  Hits
-  mutate nothing, so the guard's price is one attribute check on the
-  ack path; anything above noise means the ladder leaked into
-  steady-state serving.
+* **disk_guard_tax** (gated <= 5% by :data:`harness.GATES`) -- the
+  guarded cache vs. the fail-fast cache on the cache-hit path, at
+  ``p`` in {4, 64}.  Hits mutate nothing, so the guard's price is one
+  attribute check on the ack path; anything above noise means the
+  ladder leaked into steady-state serving.
 * **degraded_throughput** (zero-error gate) -- puts against a dead
   disk (a seeded :class:`~repro.faults.disk.DiskFaultPlan` failing
   every WAL op).  Every mutation must be absorbed, never raised, and
@@ -281,9 +280,9 @@ def test_bench_smoke(capsys):
     results = run_bench(ranks=(4,), reps=30, write=False)
     with capsys.disabled():
         report(results)
-    from harness import check_disk_faults
+    from harness import check_gates
 
-    failures = check_disk_faults(results)
+    failures = check_gates(results, RESULT_PATH.name)
     assert not failures, "disk-fault gates: " + "; ".join(failures)
 
 

@@ -54,23 +54,13 @@ from repro.platform.power import (
 )
 from repro.serve import PlanCache, PlanEngine
 
-from harness import fmt, print_table
+from harness import best_time, fmt, print_table, rank_time_fn
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_energy_pareto.json"
 
 TOTAL = 1_000_000
 RANKS = (4, 16)
 FRONT_POINTS = 16
-
-
-def _time_fn(rank: int) -> Callable[[float], float]:
-    """A heterogeneous, mildly non-linear time function for rank ``rank``."""
-    speed = 50.0 + 17.0 * ((rank * 7919) % 97)
-
-    def t(d: float) -> float:
-        return d / speed * (1.0 + 0.15 * math.sin(1e-5 * d + rank))
-
-    return t
 
 
 def build_model_pairs(
@@ -86,7 +76,7 @@ def build_model_pairs(
     models: List[PerformanceModel] = []
     emodels: List[PerformanceModel] = []
     for rank in range(p):
-        fn = _time_fn(rank)
+        fn = rank_time_fn(rank)
         pts = [
             MeasurementPoint(d=int(d), t=max(fn(int(d)), 1e-9)) for d in sizes
         ]
@@ -111,16 +101,6 @@ def build_model_pairs(
     return models, emodels
 
 
-def _best_time(fn: Callable[[], object], reps: int) -> float:
-    """Fastest of ``reps`` timed calls -- robust against one-sided OS noise."""
-    best = math.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def bench_front_solve(
     ranks: Sequence[int] = RANKS, reps: int = 5
 ) -> Dict[str, Dict]:
@@ -142,8 +122,8 @@ def bench_front_solve(
         assert f.points[0].sizes == tuple(single().sizes), (
             "front time-endpoint diverged from partition_geometric"
         )
-        single_s = _best_time(single, reps)
-        front_s = _best_time(front, reps)
+        single_s = best_time(single, reps)
+        front_s = best_time(front, reps)
         out[str(p)] = {
             "single_s": single_s,
             "front_s": front_s,

@@ -12,7 +12,7 @@ branch, nothing else.
 * **Hit-path overhead** -- serving a repeated identical request through a
   server with the closed loop attached vs. a plain server, at ``p`` in
   {4, 16, 64}.  ``overhead_frac`` is gated at <= 5% by
-  ``harness.py --check-regression`` (:func:`harness.check_feedback_loop`).
+  ``harness.py --check-regression`` (:data:`harness.GATES`).
 * **Trust-boundary throughput** (informational) -- honest and
   adversarial reports scored per second through
   :meth:`~repro.serve.feedback.FeedbackController.handle`: the cost of
@@ -268,9 +268,9 @@ def test_bench_smoke(capsys):
     results = run_bench(ranks=(4, 64), write=False)
     with capsys.disabled():
         report(results)
-    from harness import check_feedback_loop
+    from harness import check_gates
 
-    failures = check_feedback_loop(results)
+    failures = check_gates(results, RESULT_PATH.name)
     assert not failures, "\n".join(failures)
 
 

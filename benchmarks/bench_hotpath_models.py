@@ -27,10 +27,8 @@ or as an opt-in smoke test::
 from __future__ import annotations
 
 import json
-import math
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 import pytest
@@ -50,7 +48,7 @@ from repro.core.point import MeasurementPoint
 from repro.degrade import DegradationPolicy
 from repro.solver.bisect import bisect_monotone_inverse, bisect_root
 
-from harness import fmt, print_table
+from harness import best_time, fmt, print_table, rank_time_fn
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath_models.json"
 
@@ -67,22 +65,12 @@ TOTAL = 1_000_000
 PARTITION_SIZES = (4, 16, 64, 256)
 
 
-def _time_fn(rank: int) -> Callable[[float], float]:
-    """A heterogeneous, mildly non-linear time function for rank ``rank``."""
-    speed = 50.0 + 17.0 * ((rank * 7919) % 97)
-
-    def t(d: float) -> float:
-        return d / speed * (1.0 + 0.15 * math.sin(1e-5 * d + rank))
-
-    return t
-
-
 def build_models(cls, p: int, n_points: int = 24) -> List[PerformanceModel]:
     """One fitted model per rank, ``n_points`` sizes spanning the range."""
     sizes = np.geomspace(100, TOTAL, n_points)
     models: List[PerformanceModel] = []
     for rank in range(p):
-        fn = _time_fn(rank)
+        fn = rank_time_fn(rank)
         m = cls()
         m.update_many(
             [MeasurementPoint(d=int(d), t=max(fn(int(d)), 1e-9)) for d in sizes]
@@ -127,16 +115,6 @@ def scalar_reference_partition(
     )
 
 
-def _best_time(fn: Callable[[], object], reps: int) -> float:
-    """Fastest of ``reps`` timed calls -- robust against one-sided OS noise."""
-    best = math.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def bench_model_throughput(batch_size: int = 4096, reps: int = 5) -> Dict[str, Dict]:
     """Points/second of scalar ``time`` loops vs. one ``time_batch`` call."""
     xs = np.geomspace(1, TOTAL, batch_size)
@@ -148,8 +126,8 @@ def bench_model_throughput(batch_size: int = 4096, reps: int = 5) -> Dict[str, D
             for x in xs:
                 model.time(float(x))
 
-        scalar_s = _best_time(scalar_loop, reps)
-        batch_s = _best_time(lambda: model.time_batch(xs), reps)
+        scalar_s = best_time(scalar_loop, reps)
+        batch_s = best_time(lambda: model.time_batch(xs), reps)
         batch = model.time_batch(xs)
         scalar_ref = np.asarray([model.time(float(x)) for x in xs])
         np.testing.assert_allclose(batch, scalar_ref, rtol=1e-12, atol=1e-15)
@@ -173,8 +151,8 @@ def bench_partition(
         max_drift = max(
             abs(a - b) for a, b in zip(batched.sizes, reference.sizes)
         )
-        batched_s = _best_time(lambda: partition_geometric(TOTAL, models), reps)
-        scalar_s = _best_time(
+        batched_s = best_time(lambda: partition_geometric(TOTAL, models), reps)
+        scalar_s = best_time(
             lambda: scalar_reference_partition(TOTAL, models), reps
         )
         out[str(p)] = {
@@ -208,8 +186,8 @@ def bench_ladder_overhead(
         )
         direct = partition_geometric(TOTAL, models)
         assert dist.sizes == direct.sizes
-        direct_s = _best_time(lambda: partition_geometric(TOTAL, models), reps)
-        ladder_s = _best_time(
+        direct_s = best_time(lambda: partition_geometric(TOTAL, models), reps)
+        ladder_s = best_time(
             lambda: DegradationPolicy().partition(TOTAL, models), reps
         )
         out[str(p)] = {
@@ -280,11 +258,12 @@ def test_bench_smoke(capsys):
     assert p64["speedup"] >= 5.0, f"expected >= 5x at p=64, got {p64['speedup']:.1f}x"
     # Both implementations agree on the answer (within integer rounding).
     assert p64["max_size_drift_units"] <= 2.0
-    from harness import check_ladder_overhead, check_regression
+    from harness import check_gates, check_regression
 
     # Ladder bookkeeping must stay near-free; the smoke gate is looser
     # than the harness CLI's 5% to ride out shared-CI timing noise.
-    overhead = check_ladder_overhead(results, limit=0.25)
+    overhead = check_gates(results, RESULT_PATH.name,
+                           {"partition_ladder.*.overhead_frac": 0.25})
     assert not overhead, "ladder overhead: " + "; ".join(overhead)
     if RESULT_PATH.exists():
         baseline = json.loads(RESULT_PATH.read_text(encoding="utf-8"))

@@ -9,7 +9,7 @@ each answered against real worker processes:
   affinity stream through the router pays zero replication work per
   request.  Two identical 2-worker fleets (``replicas=1`` vs
   ``replicas=2``) serve the same seeded warm pool; ``overhead_frac`` is
-  gated at 5% by :func:`harness.check_partition_tolerance`.
+  gated at 5% by :data:`harness.GATES`.
 * **failover** -- what does replication buy?  A 3-worker ``replicas=2``
   fleet serves a pool of plans, replication quiesces, and one shard is
   SIGKILLed.  Every previously acked plan must still be served -- as a
@@ -204,23 +204,18 @@ def test_bench_smoke(capsys):
     """Reduced sweep: replication must stay off the hit path.
 
     The overhead ceiling is looser than the committed baseline's
-    (:func:`harness.check_partition_tolerance`) because the reduced
-    duration leaves more room for scheduler noise on a loaded CI host;
-    the durability claims (nothing lost, served as replica hits) are
-    exact at any duration.
+    (:data:`harness.GATES`) because the reduced duration leaves more
+    room for scheduler noise on a loaded CI host; the durability claims
+    (nothing lost, served as replica hits) are exact at any duration.
     """
     results = run_bench(duration=1.0, threads=8, write=False)
     with capsys.disabled():
         report(results)
-    assert results["replication_tax"]["overhead_frac"] <= 0.5, (
-        "replication leaked real work onto the warm hit path"
-    )
-    assert results["failover"]["lost_acked"] == 0, (
-        "a SIGKILL with replicas=2 lost acked plans"
-    )
-    assert results["failover"]["post_kill_hit_rate"] == 1.0, (
-        "acked plans were re-solved instead of replica-served"
-    )
+    from harness import check_gates
+
+    failures = check_gates(results, RESULT_PATH.name,
+                           {"replication_tax.overhead_frac": 0.5})
+    assert not failures, "partition-tolerance gates: " + "; ".join(failures)
 
 
 if __name__ == "__main__":

@@ -28,10 +28,8 @@ or as an opt-in smoke test::
 from __future__ import annotations
 
 import json
-import math
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 import pytest
@@ -41,7 +39,7 @@ from repro.core.models.base import PerformanceModel
 from repro.core.point import MeasurementPoint
 from repro.serve import PlanCache, PlanEngine
 
-from harness import fmt, print_table
+from harness import best_time, fmt, print_table, rank_time_fn
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_plan_cache.json"
 
@@ -53,22 +51,12 @@ RANKS = (4, 16, 64)
 SOLVE_OPTIONS = {"probes": 1}
 
 
-def _time_fn(rank: int) -> Callable[[float], float]:
-    """A heterogeneous, mildly non-linear time function for rank ``rank``."""
-    speed = 50.0 + 17.0 * ((rank * 7919) % 97)
-
-    def t(d: float) -> float:
-        return d / speed * (1.0 + 0.15 * math.sin(1e-5 * d + rank))
-
-    return t
-
-
 def build_models(p: int, n_points: int = 24) -> List[PerformanceModel]:
     """One fitted piecewise model per rank, sizes spanning the range."""
     sizes = np.geomspace(100, TOTAL, n_points)
     models: List[PerformanceModel] = []
     for rank in range(p):
-        fn = _time_fn(rank)
+        fn = rank_time_fn(rank)
         m = PiecewiseModel()
         m.update_many(
             [MeasurementPoint(d=int(d), t=max(fn(int(d)), 1e-9)) for d in sizes]
@@ -76,16 +64,6 @@ def build_models(p: int, n_points: int = 24) -> List[PerformanceModel]:
         m.is_ready  # resolve the lazy fit outside the timed region
         models.append(m)
     return models
-
-
-def _best_time(fn: Callable[[], object], reps: int) -> float:
-    """Fastest of ``reps`` timed calls -- robust against one-sided OS noise."""
-    best = math.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def bench_cache_hit(
@@ -97,7 +75,7 @@ def bench_cache_hit(
     every request, because dynamic loops refit models between calls); the
     cold path additionally runs the partitioner.  The hit path clearing
     that solve is the cache's raison d'etre, so ``hit_speedup`` is gated
-    at >= 10x by :func:`harness.check_plan_cache`.
+    at >= 10x by :data:`harness.GATES`.
     """
     out: Dict[str, Dict] = {}
     for p in ranks:
@@ -112,10 +90,10 @@ def bench_cache_hit(
             return engine.plan(models, TOTAL, options=SOLVE_OPTIONS)
 
         cold()  # warm the interpreter paths
-        cold_s = _best_time(cold, reps)
+        cold_s = best_time(cold, reps)
         primed = hit()
         assert primed.cached, "hit bench must be served from the cache"
-        hit_s = _best_time(hit, reps)
+        hit_s = best_time(hit, reps)
         assert hit().sizes == primed.sizes
         assert engine.counters.computations == reps + 1, (
             "the hit path ran the partitioner"
@@ -198,9 +176,9 @@ def test_bench_smoke(capsys):
     results = run_bench(ranks=(4, 64), write=False)
     with capsys.disabled():
         report(results)
-    from harness import check_plan_cache
+    from harness import check_gates
 
-    failures = check_plan_cache(results)
+    failures = check_gates(results, RESULT_PATH.name)
     assert not failures, "plan-cache floor: " + "; ".join(failures)
     for p, row in results["warm_start"].items():
         assert row["warm_iters"] <= row["cold_iters"], (

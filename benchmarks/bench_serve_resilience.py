@@ -11,7 +11,7 @@ engine: method-resolution, the extra branch, nothing else.
 * **Hit-path overhead** -- serving a repeated identical request through a
   hardened engine (durable cache + breaker board) vs. the plain engine,
   at ``p`` in {4, 16, 64}.  ``overhead_frac`` is gated at <= 5% by
-  ``harness.py --check-regression`` (:func:`harness.check_serve_resilience`).
+  ``harness.py --check-regression`` (:data:`harness.GATES`).
 * **Durable insert cost** (informational) -- a journaled, fsynced ``put``
   vs. a plain in-memory ``put``.  This is the price of the durability
   guarantee itself, paid only on cache *misses*; it is recorded so the
@@ -227,9 +227,9 @@ def test_bench_smoke(capsys):
     results = run_bench(ranks=(4, 64), write=False)
     with capsys.disabled():
         report(results)
-    from harness import check_serve_resilience
+    from harness import check_gates
 
-    failures = check_serve_resilience(results)
+    failures = check_gates(results, RESULT_PATH.name)
     assert not failures, "hardening overhead: " + "; ".join(failures)
     for p, row in results["durable_put"].items():
         assert row["durable_put_s"] > 0.0, f"degenerate timing at p={p}"

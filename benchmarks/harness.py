@@ -17,36 +17,22 @@ The module doubles as a CLI for throughput-regression gating::
 
 compares two ``BENCH_hotpath_models.json``-style result files (defaults:
 the repo-root file against itself is a no-op; pass a fresh run as CURRENT)
-and exits non-zero when any throughput metric dropped by more than 20%,
-when the happy-path degradation-ladder overhead (the
-``partition_ladder`` section's ``overhead_frac``) exceeds 5%, when the
-plan-cache hit path (the repo-root ``BENCH_plan_cache.json``, if present)
-is less than 10x faster than a cold solve, when the serving-hardening
-tax (the repo-root ``BENCH_serve_resilience.json``, if present) puts the
-WAL-backed, breaker-wired engine more than 5% over the plain engine on
-the cache-hit path, or when the fleet gates (the repo-root
-``BENCH_fleet_scaling.json``, if present) fail: 4 workers under 3x one
-worker, the asyncio front end behind the threaded one, or FPM routing
-losing to round-robin on a skewed fleet.  The partition-tolerance gates
-(the repo-root ``BENCH_partition_tolerance.json``, if present) hold the
-replication tax on the warm hit path to 5% and require that a SIGKILL
-on a quiesced replicated fleet loses zero acked plans.  The disk-fault
-gates (the repo-root ``BENCH_disk_faults.json``, if present) hold the
-durability guard's tax on the cache-hit path to 5%, require a dead
-disk to surface zero request-path errors, and require every plan
-accepted while degraded to survive the heal re-sync.  The
-bi-objective gates (the repo-root ``BENCH_energy_pareto.json``, if
-present) cap a 16-point (time, energy) Pareto sweep at 8x one
-time-only solve and the objective plumbing's tax on the cached
-``"time"`` hit path at 5%.
+and exits 1 when any throughput metric dropped by more than 20% or when
+any row of :data:`GATES` fails on the committed repo-root result files
+(CURRENT stands in for ``BENCH_hotpath_models.json``).  A missing or
+malformed file exits 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+import time
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+)
 
 from repro.core.partition.dist import Distribution
 from repro.platform.cluster import Platform
@@ -54,48 +40,62 @@ from repro.platform.cluster import Platform
 #: Result-file keys treated as "higher is better" throughput metrics.
 THROUGHPUT_KEYS = ("scalar_pts_per_s", "batch_pts_per_s", "partitions_per_s", "speedup")
 
-#: Ceiling on the happy-path DegradationPolicy tax over a direct
-#: partitioner call (the ``partition_ladder`` bench section).
-LADDER_OVERHEAD_LIMIT = 0.05
+#: File the CLI's CURRENT argument stands in for.
+HOTPATH_FILE = "BENCH_hotpath_models.json"
 
-#: Floor on the plan-cache hit path's advantage over a cold solve (the
-#: ``plan_cache`` bench section's ``hit_speedup``).
-PLAN_CACHE_SPEEDUP_FLOOR = 10.0
 
-#: Ceiling on the serving-hardening tax (WAL-backed cache + breaker
-#: board) over the plain engine on the cache-hit path (the
-#: ``serve_resilience`` bench section).
-SERVE_RESILIENCE_OVERHEAD_LIMIT = 0.05
+class Gate(NamedTuple):
+    """One bound on one metric of a committed bench result file.
 
-#: Floor on the 4-worker fleet's throughput over a single worker (the
-#: ``fleet_scaling`` bench section's ``scale_at_4``).
-FLEET_SCALING_FLOOR = 3.0
+    ``path`` is dotted; a ``*`` segment matches every key at that level
+    (the per-rank rows).  ``direction`` is ``"max"`` (a ceiling) or
+    ``"min"`` (a floor); a value fails only when strictly past ``bound``.
+    """
 
-#: Ceiling on the closed-loop tax (attached feedback controller +
-#: model lineage) over a plain server on the cache-hit path (the
-#: ``feedback_loop`` bench section).
-FEEDBACK_OVERHEAD_LIMIT = 0.05
+    file: str
+    path: str
+    bound: float
+    direction: str
 
-#: Floor on the asyncio front end's hit-path throughput relative to the
-#: threaded stdlib front end (``frontend_http.aio_over_threaded``).
-AIO_PARITY_FLOOR = 1.0
 
-#: Ceiling on the replication tax (``replicas=2`` over ``replicas=1``)
-#: on the warm hit path (the ``replication_tax`` bench section).
-PARTITION_OVERHEAD_LIMIT = 0.05
-
-#: Ceiling on the durability guard's tax on the cache-hit path (the
-#: ``disk_guard_tax`` bench section's per-rank ``overhead_frac``).
-DISK_GUARD_OVERHEAD_LIMIT = 0.05
-
-#: Ceiling on a 16-point (time, energy) Pareto front sweep's cost
-#: relative to one time-only solve (the ``energy_front`` bench
-#: section's ``front_over_single``).
-ENERGY_FRONT_COST_LIMIT = 8.0
-
-#: Ceiling on the objective-machinery tax on the cached ``"time"`` hit
-#: path (the ``energy_time_path`` section's ``time_hit_overhead_frac``).
-ENERGY_TIME_PATH_OVERHEAD_LIMIT = 0.05
+#: Every bench gate, one row each.  The ``overhead_frac``-style rows are
+#: taxes a layer adds to the cache-hit path; the rest are the claims
+#: their benches exist to hold.
+GATES = (
+    # Degradation ladder's happy-path tax over a direct partitioner call.
+    Gate(HOTPATH_FILE, "partition_ladder.*.overhead_frac", 0.05, "max"),
+    # Cache hit vs cold solve.
+    Gate("BENCH_plan_cache.json", "plan_cache.*.hit_speedup", 10.0, "min"),
+    # WAL-backed cache + breaker board over the plain engine.
+    Gate("BENCH_serve_resilience.json", "serve_resilience.*.overhead_frac",
+         0.05, "max"),
+    # Four workers over one; FPM routing vs round-robin on a skewed fleet.
+    Gate("BENCH_fleet_scaling.json", "fleet_scaling.scale_at_4", 3.0, "min"),
+    Gate("BENCH_fleet_scaling.json", "fpm_vs_rr.fpm_over_rr_throughput",
+         1.0, "min"),
+    Gate("BENCH_fleet_scaling.json", "fpm_vs_rr.fpm_p99_over_rr_p99",
+         1.0, "max"),
+    # Attached feedback controller + lineage over a plain server.
+    Gate("BENCH_feedback_loop.json", "feedback_loop.*.overhead_frac",
+         0.05, "max"),
+    # replicas=2 over replicas=1; no acked plan lost to a SIGKILL.
+    Gate("BENCH_partition_tolerance.json", "replication_tax.overhead_frac",
+         0.05, "max"),
+    Gate("BENCH_partition_tolerance.json", "failover.lost_acked", 0, "max"),
+    Gate("BENCH_partition_tolerance.json", "failover.post_kill_hit_rate",
+         1.0, "min"),
+    # Durability guard's tax; a dead disk raises nothing and loses nothing.
+    Gate("BENCH_disk_faults.json", "disk_guard_tax.*.overhead_frac",
+         0.05, "max"),
+    Gate("BENCH_disk_faults.json", "degraded_throughput.errors", 0, "max"),
+    Gate("BENCH_disk_faults.json", "heal_recovery.lost", 0, "max"),
+    # A 16-point Pareto sweep vs one time-only solve; objective plumbing's
+    # tax on the cached time hit path.
+    Gate("BENCH_energy_pareto.json", "energy_front.*.front_over_single",
+         8.0, "max"),
+    Gate("BENCH_energy_pareto.json",
+         "energy_time_path.*.time_hit_overhead_frac", 0.05, "max"),
+)
 
 
 def achieved_times(
@@ -155,6 +155,26 @@ def fmt(x: float, digits: int = 4) -> str:
     return f"{x:.{digits}f}"
 
 
+def best_time(fn: Callable[[], object], reps: int) -> float:
+    """Fastest of ``reps`` timed calls -- robust against one-sided OS noise."""
+    best = math.inf
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def rank_time_fn(rank: int) -> Callable[[float], float]:
+    """A heterogeneous, mildly non-linear time function for rank ``rank``."""
+    speed = 50.0 + 17.0 * ((rank * 7919) % 97)
+
+    def t(d: float) -> float:
+        return d / speed * (1.0 + 0.15 * math.sin(1e-5 * d + rank))
+
+    return t
+
+
 def _throughput_metrics(results: Dict, prefix: str = "") -> Dict[str, float]:
     """Flatten a results tree to ``{dotted.path: value}`` throughput rows."""
     out: Dict[str, float] = {}
@@ -193,279 +213,46 @@ def check_regression(
     return failures
 
 
-def check_ladder_overhead(
-    current: Dict, limit: float = LADDER_OVERHEAD_LIMIT
+def _metric_values(tree: Any, parts: Sequence[str], prefix: str = ""):
+    """Yield ``(concrete dotted path, value)`` for a ``*``-pattern path."""
+    if not parts:
+        yield prefix, tree
+        return
+    if not isinstance(tree, dict):
+        return
+    head, rest = parts[0], parts[1:]
+    keys = sorted(tree) if head == "*" else [head] if head in tree else []
+    for key in keys:
+        path = f"{prefix}.{key}" if prefix else str(key)
+        yield from _metric_values(tree[key], rest, path)
+
+
+def check_gates(
+    results: Dict, file: str, overrides: Optional[Mapping[str, float]] = None
 ) -> List[str]:
-    """Gate the degradation ladder's happy-path tax.
+    """Evaluate every :data:`GATES` row on ``file`` against a result tree.
 
-    Reads the ``partition_ladder`` section of a result tree and reports
-    every rank count whose ``overhead_frac`` (ladder time over direct
-    partitioner time, minus one) exceeds *limit*.  A missing section is
-    not a failure -- older baselines predate the ladder bench.
+    ``overrides`` maps a row's ``path`` to a replacement bound (the
+    smoke benches' looser, shorter-run bounds).  A missing section or a
+    non-numeric value is not a failure -- older result files predate the
+    newer benches.  Returns one failure string per offending value,
+    naming the file and the concrete metric path.
     """
-    if limit <= 0.0:
-        raise ValueError(f"limit must be positive, got {limit}")
+    overrides = overrides or {}
     failures: List[str] = []
-    for p, row in sorted(current.get("partition_ladder", {}).items()):
-        frac = row.get("overhead_frac")
-        if isinstance(frac, (int, float)) and frac > limit:
-            failures.append(
-                f"partition_ladder.{p}: overhead {100 * frac:.1f}% "
-                f"(limit {100 * limit:.0f}%)"
-            )
-    return failures
-
-
-def check_plan_cache(
-    current: Dict, floor: float = PLAN_CACHE_SPEEDUP_FLOOR
-) -> List[str]:
-    """Gate the plan-cache hit path's speedup over a cold solve.
-
-    Reads the ``plan_cache`` section of a result tree (the
-    ``bench_plan_cache`` bench) and reports every rank count whose
-    ``hit_speedup`` (cold solve time over cache-hit serve time) falls
-    below *floor*.  A missing section is not a failure -- hotpath result
-    files predate the serving bench.
-    """
-    if floor <= 1.0:
-        raise ValueError(f"floor must exceed 1, got {floor}")
-    failures: List[str] = []
-    for p, row in sorted(current.get("plan_cache", {}).items()):
-        speedup = row.get("hit_speedup")
-        if isinstance(speedup, (int, float)) and speedup < floor:
-            failures.append(
-                f"plan_cache.{p}: hit path only {speedup:.1f}x faster than "
-                f"a cold solve (floor {floor:.0f}x)"
-            )
-    return failures
-
-
-def check_serve_resilience(
-    current: Dict, limit: float = SERVE_RESILIENCE_OVERHEAD_LIMIT
-) -> List[str]:
-    """Gate the serving-hardening tax on the cache-hit path.
-
-    Reads the ``serve_resilience`` section of a result tree (the
-    ``bench_serve_resilience`` bench) and reports every rank count whose
-    ``overhead_frac`` (hardened hit time over plain hit time, minus one)
-    exceeds *limit*.  The hit path touches neither the journal nor the
-    breaker, so anything above noise means the hardening leaked into the
-    steady-state loop.  A missing section is not a failure -- older
-    result files predate the hardening bench.
-    """
-    if limit <= 0.0:
-        raise ValueError(f"limit must be positive, got {limit}")
-    failures: List[str] = []
-    for p, row in sorted(current.get("serve_resilience", {}).items()):
-        frac = row.get("overhead_frac")
-        if isinstance(frac, (int, float)) and frac > limit:
-            failures.append(
-                f"serve_resilience.{p}: hardened hit path "
-                f"{100 * frac:.1f}% over plain (limit {100 * limit:.0f}%)"
-            )
-    return failures
-
-
-def check_fleet_scaling(
-    current: Dict,
-    scale_floor: float = FLEET_SCALING_FLOOR,
-    aio_floor: float = AIO_PARITY_FLOOR,
-) -> List[str]:
-    """Gate the fleet layer's three claims (the ``bench_fleet_scaling`` bench).
-
-    * ``frontend_http.aio_over_threaded`` -- the asyncio front end must
-      meet or beat the threaded stdlib one on the single-worker hit path;
-    * ``fleet_scaling.scale_at_4`` -- four workers must sustain at least
-      *scale_floor* times one worker's throughput on the mixed flood;
-    * ``fpm_vs_rr`` -- on the skewed fleet, FPM routing must match or
-      beat round-robin on throughput *and* p99 latency.
-
-    Missing sections are not failures -- older result files predate the
-    fleet bench, and the smoke run skips the routing duel.
-    """
-    if scale_floor <= 1.0:
-        raise ValueError(f"scale_floor must exceed 1, got {scale_floor}")
-    failures: List[str] = []
-    frontend = current.get("frontend_http", {})
-    ratio = frontend.get("aio_over_threaded")
-    if isinstance(ratio, (int, float)) and ratio < aio_floor:
-        failures.append(
-            f"frontend_http: asyncio at {ratio:.2f}x the threaded front "
-            f"end (floor {aio_floor:.1f}x)"
-        )
-    scaling = current.get("fleet_scaling", {})
-    scale = scaling.get("scale_at_4")
-    if isinstance(scale, (int, float)) and scale < scale_floor:
-        failures.append(
-            f"fleet_scaling: 4 workers at {scale:.2f}x one worker "
-            f"(floor {scale_floor:.1f}x)"
-        )
-    duel = current.get("fpm_vs_rr", {})
-    fpm_over_rr = duel.get("fpm_over_rr_throughput")
-    if isinstance(fpm_over_rr, (int, float)) and fpm_over_rr < 1.0:
-        failures.append(
-            f"fpm_vs_rr: FPM routing at {fpm_over_rr:.2f}x round-robin "
-            "throughput (must match or beat it)"
-        )
-    p99_ratio = duel.get("fpm_p99_over_rr_p99")
-    if isinstance(p99_ratio, (int, float)) and p99_ratio > 1.0:
-        failures.append(
-            f"fpm_vs_rr: FPM p99 at {p99_ratio:.2f}x round-robin's "
-            "(must match or beat it)"
-        )
-    return failures
-
-
-def check_feedback_loop(
-    current: Dict, limit: float = FEEDBACK_OVERHEAD_LIMIT
-) -> List[str]:
-    """Gate the closed-loop tax on the cache-hit path.
-
-    Reads the ``feedback_loop`` section of a result tree (the
-    ``bench_feedback_loop`` bench) and reports every rank count whose
-    ``overhead_frac`` (hit time with an attached feedback controller
-    over a plain server's, minus one) exceeds *limit*.  The lineage
-    check on the hit path is one atomic reference read of
-    ``server.models``, so anything above noise means refinement
-    machinery leaked into plan serving.  A missing section is not a
-    failure -- older result files predate the closed loop.
-    """
-    if limit <= 0.0:
-        raise ValueError(f"limit must be positive, got {limit}")
-    failures: List[str] = []
-    for p, row in sorted(current.get("feedback_loop", {}).items()):
-        frac = row.get("overhead_frac")
-        if isinstance(frac, (int, float)) and frac > limit:
-            failures.append(
-                f"feedback_loop.{p}: closed-loop hit path "
-                f"{100 * frac:.1f}% over plain (limit {100 * limit:.0f}%)"
-            )
-    return failures
-
-
-def check_partition_tolerance(
-    current: Dict, limit: float = PARTITION_OVERHEAD_LIMIT
-) -> List[str]:
-    """Gate the replication tax and the acked-plan survival guarantee.
-
-    Reads the ``replication_tax`` and ``failover`` sections of a result
-    tree (the ``bench_partition_tolerance`` bench).  Replication fires
-    only on cold commits and runs on a background thread, so the warm
-    hit path of a ``replicas=2`` fleet must stay within *limit* of a
-    single-copy fleet's; and after a SIGKILL on a quiesced replicated
-    fleet, every acked plan must still be served from a replica copy
-    (``lost_acked`` zero, ``post_kill_hit_rate`` 1.0).  Missing sections
-    are not failures -- older result files predate replication.
-    """
-    if limit <= 0.0:
-        raise ValueError(f"limit must be positive, got {limit}")
-    failures: List[str] = []
-    tax = current.get("replication_tax", {})
-    frac = tax.get("overhead_frac")
-    if isinstance(frac, (int, float)) and frac > limit:
-        failures.append(
-            f"replication_tax: replicas=2 hit path {100 * frac:.1f}% over "
-            f"replicas=1 (limit {100 * limit:.0f}%)"
-        )
-    failover = current.get("failover", {})
-    lost = failover.get("lost_acked")
-    if isinstance(lost, (int, float)) and lost > 0:
-        failures.append(
-            f"failover: {lost:.0f} acked plan(s) lost after a SIGKILL on a "
-            "quiesced replicated fleet (must be 0)"
-        )
-    rate = failover.get("post_kill_hit_rate")
-    if isinstance(rate, (int, float)) and rate < 1.0:
-        failures.append(
-            f"failover: post-kill replica hit rate {rate:.3f} < 1.0 "
-            "(acked plans were re-solved instead of replica-served)"
-        )
-    return failures
-
-
-def check_disk_faults(
-    current: Dict, limit: float = DISK_GUARD_OVERHEAD_LIMIT
-) -> List[str]:
-    """Gate the durability guard (the ``bench_disk_faults`` bench).
-
-    * ``disk_guard_tax.*.overhead_frac`` -- arming the degradation
-      ladder (``durability_budget``) must stay within *limit* of the
-      fail-fast durable cache on the hit path (hits mutate nothing, so
-      the guard's price is one ack-path check);
-    * ``degraded_throughput.errors`` -- a dead disk must surface zero
-      request-path errors (absorbed, never raised);
-    * ``heal_recovery.lost`` -- every plan accepted while degraded must
-      reach the disk in the heal re-sync and survive a SIGKILL.
-
-    A missing section is not a failure -- older result files predate
-    the storage-fault work.
-    """
-    if limit <= 0.0:
-        raise ValueError(f"limit must be positive, got {limit}")
-    failures: List[str] = []
-    for p, row in sorted(current.get("disk_guard_tax", {}).items()):
-        frac = row.get("overhead_frac")
-        if isinstance(frac, (int, float)) and frac > limit:
-            failures.append(
-                f"disk_guard_tax.{p}: guarded hit path {100 * frac:.1f}% "
-                f"over fail-fast (limit {100 * limit:.0f}%)"
-            )
-    degraded = current.get("degraded_throughput", {})
-    errors = degraded.get("errors")
-    if isinstance(errors, (int, float)) and errors > 0:
-        failures.append(
-            f"degraded_throughput: {errors:.0f} put(s) raised against a "
-            "dead disk (the ladder must absorb every one)"
-        )
-    heal = current.get("heal_recovery", {})
-    lost = heal.get("lost")
-    if isinstance(lost, (int, float)) and lost > 0:
-        failures.append(
-            f"heal_recovery: {lost:.0f} degraded-mode plan(s) missing "
-            "after the heal re-sync (must be 0)"
-        )
-    return failures
-
-
-def check_energy_pareto(
-    current: Dict,
-    cost_limit: float = ENERGY_FRONT_COST_LIMIT,
-    overhead_limit: float = ENERGY_TIME_PATH_OVERHEAD_LIMIT,
-) -> List[str]:
-    """Gate the bi-objective subsystem (the ``bench_energy_pareto`` bench).
-
-    * ``energy_front.*.front_over_single`` -- a 16-point Pareto sweep
-      must cost at most *cost_limit* times one time-only solve (the
-      batched interior bisection's whole claim);
-    * ``energy_time_path.*.time_hit_overhead_frac`` -- the objective
-      plumbing must not tax the pre-existing cached ``"time"`` hit path
-      beyond *overhead_limit* (it short-circuits to the legacy
-      fingerprint, so anything above noise is a leak).
-
-    Missing sections are not failures -- older result files predate the
-    bi-objective subsystem.
-    """
-    if cost_limit <= 1.0:
-        raise ValueError(f"cost_limit must exceed 1, got {cost_limit}")
-    if overhead_limit <= 0.0:
-        raise ValueError(
-            f"overhead_limit must be positive, got {overhead_limit}"
-        )
-    failures: List[str] = []
-    for p, row in sorted(current.get("energy_front", {}).items()):
-        ratio = row.get("front_over_single")
-        if isinstance(ratio, (int, float)) and ratio > cost_limit:
-            failures.append(
-                f"energy_front.{p}: {ratio:.1f}x one time-only solve "
-                f"(limit {cost_limit:.0f}x)"
-            )
-    for p, row in sorted(current.get("energy_time_path", {}).items()):
-        frac = row.get("time_hit_overhead_frac")
-        if isinstance(frac, (int, float)) and frac > overhead_limit:
-            failures.append(
-                f"energy_time_path.{p}: time hit path {100 * frac:.1f}% "
-                f"over the pre-kind engine (limit {100 * overhead_limit:.0f}%)"
-            )
+    for gate in GATES:
+        if gate.file != file:
+            continue
+        bound = overrides.get(gate.path, gate.bound)
+        for path, value in _metric_values(results, gate.path.split(".")):
+            if not isinstance(value, (int, float)):
+                continue
+            if gate.direction == "max" and value > bound:
+                failures.append(f"{file}: {path} = {value:.4g} above the "
+                                f"ceiling {bound:g}")
+            elif gate.direction == "min" and value < bound:
+                failures.append(f"{file}: {path} = {value:.4g} below the "
+                                f"floor {bound:g}")
     return failures
 
 
@@ -487,12 +274,19 @@ def _load_results(path: Path) -> Dict:
 
 
 def _check_regression_cli(argv: Sequence[str]) -> int:
-    default = Path(__file__).resolve().parent.parent / "BENCH_hotpath_models.json"
-    current_path = Path(argv[0]) if len(argv) > 0 else default
-    baseline_path = Path(argv[1]) if len(argv) > 1 else default
+    root = Path(__file__).resolve().parent.parent
+    current_path = Path(argv[0]) if len(argv) > 0 else root / HOTPATH_FILE
+    baseline_path = Path(argv[1]) if len(argv) > 1 else root / HOTPATH_FILE
     try:
         current = _load_results(current_path)
         baseline = _load_results(baseline_path)
+        # The other bench files are gated whenever a committed baseline
+        # is present (an absent one predates that bench).
+        trees = {HOTPATH_FILE: current}
+        for gate in GATES:
+            path = root / gate.file
+            if gate.file not in trees and path.exists():
+                trees[gate.file] = _load_results(path)
     except SystemExit as exc:
         return int(exc.code or 2)
     failures = check_regression(current, baseline)
@@ -501,130 +295,20 @@ def _check_regression_cli(argv: Sequence[str]) -> int:
         for line in failures:
             print(f"  {line}")
         return 1
-    overhead_failures = check_ladder_overhead(current)
-    if overhead_failures:
-        print("degradation-ladder overhead above the "
-              f"{100 * LADDER_OVERHEAD_LIMIT:.0f}% ceiling:")
-        for line in overhead_failures:
+    gate_failures = [
+        line for file, tree in trees.items()
+        for line in check_gates(tree, file)
+    ]
+    if gate_failures:
+        print("bench gates failed:")
+        for line in gate_failures:
             print(f"  {line}")
         return 1
-    # The plan-cache bench writes its own result file; gate it whenever a
-    # committed baseline is present (its absence predates the serving layer).
-    plan_cache_path = (
-        Path(__file__).resolve().parent.parent / "BENCH_plan_cache.json"
-    )
-    if plan_cache_path.exists():
-        try:
-            plan_cache = _load_results(plan_cache_path)
-        except SystemExit as exc:
-            return int(exc.code or 2)
-        cache_failures = check_plan_cache(plan_cache)
-        if cache_failures:
-            print("plan-cache hit path below the "
-                  f"{PLAN_CACHE_SPEEDUP_FLOOR:.0f}x floor:")
-            for line in cache_failures:
-                print(f"  {line}")
-            return 1
-    # Likewise for the serving-hardening bench (WAL + breakers).
-    resilience_path = (
-        Path(__file__).resolve().parent.parent / "BENCH_serve_resilience.json"
-    )
-    if resilience_path.exists():
-        try:
-            resilience = _load_results(resilience_path)
-        except SystemExit as exc:
-            return int(exc.code or 2)
-        resilience_failures = check_serve_resilience(resilience)
-        if resilience_failures:
-            print("serving-hardening overhead above the "
-                  f"{100 * SERVE_RESILIENCE_OVERHEAD_LIMIT:.0f}% ceiling:")
-            for line in resilience_failures:
-                print(f"  {line}")
-            return 1
-    # And for the fleet bench (asyncio front end, sharding, FPM routing).
-    fleet_path = (
-        Path(__file__).resolve().parent.parent / "BENCH_fleet_scaling.json"
-    )
-    if fleet_path.exists():
-        try:
-            fleet = _load_results(fleet_path)
-        except SystemExit as exc:
-            return int(exc.code or 2)
-        fleet_failures = check_fleet_scaling(fleet)
-        if fleet_failures:
-            print("fleet-serving gates failed:")
-            for line in fleet_failures:
-                print(f"  {line}")
-            return 1
-    # And for the closed-loop bench (feedback controller + lineage).
-    feedback_path = (
-        Path(__file__).resolve().parent.parent / "BENCH_feedback_loop.json"
-    )
-    if feedback_path.exists():
-        try:
-            feedback = _load_results(feedback_path)
-        except SystemExit as exc:
-            return int(exc.code or 2)
-        feedback_failures = check_feedback_loop(feedback)
-        if feedback_failures:
-            print("closed-loop overhead above the "
-                  f"{100 * FEEDBACK_OVERHEAD_LIMIT:.0f}% ceiling:")
-            for line in feedback_failures:
-                print(f"  {line}")
-            return 1
-    # And for the partition-tolerance bench (replication tax + failover).
-    partition_path = (
-        Path(__file__).resolve().parent.parent
-        / "BENCH_partition_tolerance.json"
-    )
-    if partition_path.exists():
-        try:
-            partition = _load_results(partition_path)
-        except SystemExit as exc:
-            return int(exc.code or 2)
-        partition_failures = check_partition_tolerance(partition)
-        if partition_failures:
-            print("partition-tolerance gates failed:")
-            for line in partition_failures:
-                print(f"  {line}")
-            return 1
-    # And for the disk-fault bench (durability-guard tax + degradation).
-    disk_path = (
-        Path(__file__).resolve().parent.parent / "BENCH_disk_faults.json"
-    )
-    if disk_path.exists():
-        try:
-            disk = _load_results(disk_path)
-        except SystemExit as exc:
-            return int(exc.code or 2)
-        disk_failures = check_disk_faults(disk)
-        if disk_failures:
-            print("disk-fault gates failed:")
-            for line in disk_failures:
-                print(f"  {line}")
-            return 1
-    # And for the bi-objective bench (Pareto sweep cost + time-path tax).
-    energy_path = (
-        Path(__file__).resolve().parent.parent / "BENCH_energy_pareto.json"
-    )
-    if energy_path.exists():
-        try:
-            energy = _load_results(energy_path)
-        except SystemExit as exc:
-            return int(exc.code or 2)
-        energy_failures = check_energy_pareto(energy)
-        if energy_failures:
-            print("bi-objective gates failed:")
-            for line in energy_failures:
-                print(f"  {line}")
-            return 1
     compared = len(
         set(_throughput_metrics(current)) & set(_throughput_metrics(baseline))
     )
     print(f"no throughput regressions ({compared} metrics compared); "
-          "ladder overhead, plan-cache floor, serving-hardening "
-          "overhead, fleet, closed-loop, partition-tolerance, "
-          "disk-fault and bi-objective gates within limits")
+          f"{len(GATES)} gates over {len(trees)} result files within limits")
     return 0
 
 

@@ -298,7 +298,7 @@ def _serve_fleet(args: argparse.Namespace) -> int:
 
     from repro.serve import PlanFleet
 
-    if not (args.http or args.threaded_http):
+    if not args.http:
         raise FuPerModError(
             "a multi-worker fleet serves over HTTP; add --http "
             "(stdio cannot be multiplexed across worker processes)"
@@ -370,8 +370,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``fupermod serve`` command: a partition-plan service.
 
     Models come from a ``build`` output directory; plans are served over
-    JSON-lines stdio (default), the asyncio HTTP front end (``--http``),
-    or the legacy threaded HTTP front end (``--threaded-http``).
+    JSON-lines stdio (default) or the asyncio HTTP front end (``--http``).
     ``--workers N`` with N >= 2 scales out to a sharded fleet of worker
     processes behind a consistent-hashing router (HTTP only).  Status
     and statistics go to stderr so stdout stays a clean protocol stream.
@@ -388,7 +387,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import DurablePlanCache, PlanCache, PlanEngine, PlanServer
     from repro.serve.aio import AioFrontend
-    from repro.serve.frontend import make_http_server, serve_stdio
+    from repro.serve.frontend import serve_stdio
 
     if args.workers > 1:
         return _serve_fleet(args)
@@ -494,19 +493,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     exit_code = 0
     try:
-        if args.threaded_http:
-            httpd = make_http_server(server, args.host, args.port)
-            host, port = httpd.server_address[:2]
-            print(f"serving plans over http://{host}:{port} "
-                  f"(threaded; POST /plan, GET /stats, GET /metrics); "
-                  f"Ctrl-C to stop", file=sys.stderr)
-            try:
-                httpd.serve_forever()
-            except (KeyboardInterrupt, _GracefulShutdown):
-                print("shutdown requested; draining", file=sys.stderr)
-            finally:
-                httpd.server_close()
-        elif args.http:
+        if args.http:
             frontend = AioFrontend(server, args.host, args.port)
             frontend.start()
             print(f"serving plans over {frontend.url} "
@@ -948,10 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve over HTTP (asyncio front end with an "
                             "inline cache-hit fast lane) instead of "
                             "JSON-lines stdio")
-    p_srv.add_argument("--threaded-http", action="store_true",
-                       dest="threaded_http",
-                       help="serve over the legacy threaded HTTP front end "
-                            "(one thread per connection)")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8755)
     p_srv.set_defaults(func=_cmd_serve)

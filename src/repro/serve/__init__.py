@@ -28,11 +28,15 @@ The hardening layer makes the service safe to depend on:
   to the degradation ladder, and a jittered-backoff
   :class:`~repro.serve.client.PlanClient`.
 
-Front ends (:mod:`~repro.serve.frontend`, ``fupermod serve``) expose the
-server over JSON-lines stdio, threaded stdlib HTTP, and a keep-alive
-:mod:`asyncio` front end (:mod:`~repro.serve.aio`) with an inline
-cache-hit fast lane, all speaking one protocol with a typed error
-taxonomy (400/413/500/503/504) and a versioned ``/metrics`` endpoint.
+Front ends (``fupermod serve``) expose the server over JSON-lines stdio
+(:mod:`~repro.serve.frontend`) and a keep-alive :mod:`asyncio` HTTP
+front end (:mod:`~repro.serve.aio`) with an inline cache-hit fast lane,
+both speaking one protocol with a typed error taxonomy
+(400/413/500/503/504) and a versioned ``/metrics`` endpoint.  The one
+synchronous HTTP client, :class:`~repro.serve.shard.ShardClient`, owns
+keep-alive, reconnect backoff and deadline propagation;
+:class:`~repro.serve.client.KeepAliveTransport` adapts it to the
+:class:`~repro.serve.client.PlanClient` protocol.
 
 The fleet layer scales out to many processes:
 
@@ -105,7 +109,6 @@ from repro.serve.fingerprint import (
 from repro.serve.fleet import PlanFleet
 from repro.serve.frontend import (
     handle_request,
-    make_http_server,
     serve_stdio,
     validate_objective,
 )
@@ -181,7 +184,6 @@ __all__ = [
     "fingerprint_request",
     "handle_request",
     "http_transport",
-    "make_http_server",
     "serve_stdio",
     "validate_objective",
 ]

@@ -1,10 +1,7 @@
 """Asyncio HTTP front end for the plan service.
 
-The original HTTP transport (:func:`repro.serve.frontend.make_http_server`)
-is a :class:`~http.server.ThreadingHTTPServer`: one OS thread per
-connection, every request -- even a microsecond cache hit -- paying two
-thread handoffs (socket thread in, worker pool out).  This front end
-replaces it with a single-threaded :mod:`asyncio` event loop:
+The package's only HTTP server: a single-threaded :mod:`asyncio` event
+loop.
 
 * connections are coroutines, so thousands of keep-alive clients cost
   file descriptors, not threads;
@@ -13,9 +10,9 @@ replaces it with a single-threaded :mod:`asyncio` event loop:
   LRU lookup, no executor round trip, no thread context switch;
 * only cache *misses* (and protocol commands that may block) dispatch to
   a thread pool, through the exact same
-  :func:`~repro.serve.frontend.handle_request` the threaded and stdio
-  transports use, so the protocol and its 400/404/413/500/503/504 error
-  taxonomy cannot drift between front ends.
+  :func:`~repro.serve.frontend.handle_request` the stdio transport
+  uses, so the protocol and its 400/404/413/500/503/504 error taxonomy
+  cannot drift between transports.
 
 The HTTP surface is deliberately minimal (we control both ends):
 HTTP/1.1, Content-Length framing only, keep-alive by default,
@@ -26,9 +23,11 @@ worker mounts (sibling cache peeks, peer wiring).
 
 The connection loop and lifecycle live in :class:`AsyncHTTPBase` so the
 fleet router (:mod:`repro.serve.router`) -- which relays raw bytes
-rather than serving a local :class:`PlanServer` -- shares them.  Both
-servers can either own the process (:meth:`~AsyncHTTPBase.run`, the CLI
-path) or run on a background thread (:meth:`~AsyncHTTPBase.start` /
+rather than serving a local :class:`PlanServer` -- shares them, and
+:func:`read_header_block` parses header blocks both for this server's
+requests and for the router's worker responses.  Both servers can
+either own the process (:meth:`~AsyncHTTPBase.run`, the CLI path) or
+run on a background thread (:meth:`~AsyncHTTPBase.start` /
 :meth:`~AsyncHTTPBase.stop`, the tests' and supervisor's path).
 """
 
@@ -95,6 +94,26 @@ def encode_response(
     return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
 
 
+async def read_header_block(
+    reader: asyncio.StreamReader,
+) -> Optional[Dict[str, str]]:
+    """Read header lines up to the blank line ending the block.
+
+    Returns the headers with lower-cased names, or None when the stream
+    ends before the block does.  Shared by the server's request parser
+    and the router's worker-response parser.
+    """
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if not line:
+            return None
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, _, value = line.decode("ascii", "replace").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
 class _BodyTooLarge(Exception):
     """Internal: a request advertised a body over the cap."""
 
@@ -139,7 +158,8 @@ class AsyncHTTPBase:
 
         ``headers`` carries the parsed request headers (lower-cased
         names) so hop-by-hop metadata -- notably the propagated
-        ``X-Fupermod-Deadline`` budget -- reaches the handler.
+        :data:`~repro.serve.shard.DEADLINE_HEADER` budget -- reaches
+        the handler.
         """
         raise NotImplementedError
 
@@ -159,15 +179,9 @@ class AsyncHTTPBase:
         if len(parts) < 2:
             raise ValueError(f"malformed request line {line!r}")
         method, path = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
-                return None
-            if line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("ascii", "replace").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        headers = await read_header_block(reader)
+        if headers is None:
+            return None
         length_text = headers.get("content-length", "0")
         try:
             length = int(length_text)
@@ -189,9 +203,9 @@ class AsyncHTTPBase:
                 try:
                     parsed = await self._read_request(reader)
                 except _BodyTooLarge as exc:
-                    # Refuse before buffering the oversized body, like the
-                    # threaded front end; the connection cannot be reused
-                    # (the unread body would desynchronise framing).
+                    # Refuse before buffering the oversized body; the
+                    # connection cannot be reused (the unread body would
+                    # desynchronise framing).
                     writer.write(encode_response(413, {
                         "error": (
                             f"request body of {exc.length} bytes exceeds "

@@ -35,13 +35,10 @@ by :func:`http_transport` (standard library only).
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import random
-import threading
 import time
-import urllib.parse
 from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
@@ -55,6 +52,7 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.serve.plan import PlanResult
+from repro.serve.shard import ShardClient
 
 Transport = Callable[[Dict[str, Any]], Dict[str, Any]]
 
@@ -276,34 +274,19 @@ class PlanClient:
 class KeepAliveTransport:
     """HTTP transport reusing one persistent connection per thread.
 
-    The pre-fleet transport opened (and tore down) a TCP connection per
-    request, which dominated the cache-hit round trip.  Both front ends
-    now speak HTTP/1.1 keep-alive, so this transport holds a
-    :class:`http.client.HTTPConnection` in thread-local storage and
-    reuses it across calls; a request that fails on a kept-alive
-    connection (server restarted, idle timeout) is retried exactly once
-    on a fresh connection before the error propagates.  Connections are
-    per-thread because ``http.client`` connections are not thread-safe
-    and :class:`PlanClient` callers drive benches from thread pools.
-
-    HTTP error responses (4xx/5xx) are decoded back into protocol error
-    dicts -- with ``code`` set from the status and ``retry_after``
-    recovered from the ``Retry-After`` header when the body lacks it --
-    so the client's retry logic is transport-agnostic.
-
-    A request that fails on a connection retries on a fresh one with
-    bounded, jittered backoff (uniform in ``[0, backoff_base * 2**k]``
-    before retry ``k``, up to ``max_attempts`` tries) rather than the
-    old single blind retry, so a briefly-restarting server is ridden
-    out without every client in a fleet re-knocking at the same
-    instant.  A ``deadline`` field in the payload caps the attempt loop
-    and propagates to the server as the ``X-Fupermod-Deadline``
-    per-hop header.
+    A protocol adapter on :class:`~repro.serve.shard.ShardClient`, which
+    owns keep-alive, jittered reconnect backoff (``max_attempts``,
+    ``backoff_base``) and propagation of a payload ``deadline`` as the
+    :data:`~repro.serve.shard.DEADLINE_HEADER` header; a deadline
+    already spent answers 504 without touching the network.  This class
+    maps protocol commands onto endpoints and decodes HTTP error
+    responses (4xx/5xx) back into protocol error dicts -- ``code`` from
+    the status, ``retry_after`` from the ``Retry-After`` header when the
+    body lacks it -- so the client's retry logic is transport-agnostic.
 
     ``connections_opened`` counts real TCP connects across all threads
-    (the keep-alive tests assert it stays at one per thread however many
-    requests flow); ``reconnects`` counts retry attempts after failures
-    (the backoff witness -- zero against a healthy server).
+    (one per thread however many requests flow); ``reconnects`` counts
+    retry attempts after failures (zero against a healthy server).
     """
 
     def __init__(
@@ -314,49 +297,24 @@ class KeepAliveTransport:
         backoff_base: float = 0.02,
         rng: Optional["random.Random"] = None,
     ) -> None:
-        parsed = urllib.parse.urlsplit(base_url.rstrip("/"))
-        if parsed.scheme not in ("http", ""):
-            raise FuPerModError(
-                f"http transport needs an http:// URL, got {base_url!r}"
-            )
-        if not parsed.hostname:
-            raise FuPerModError(f"no host in transport URL {base_url!r}")
-        if max_attempts <= 0:
-            raise FuPerModError(
-                f"max_attempts must be positive, got {max_attempts}"
-            )
-        self.host = parsed.hostname
-        self.port = parsed.port if parsed.port is not None else 80
-        self.prefix = parsed.path.rstrip("/")
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.rng = rng if rng is not None else random.Random()
-        self.connections_opened = 0
-        self.reconnects = 0
-        self._count_lock = threading.Lock()
-        self._local = threading.local()
+        self._shard = ShardClient(
+            base_url, timeout=timeout, max_attempts=max_attempts,
+            backoff_base=backoff_base, rng=rng,
+        )
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._local.conn = conn
-            with self._count_lock:
-                self.connections_opened += 1
-        return conn
+    @property
+    def connections_opened(self) -> int:
+        """Real TCP connects so far, across all threads."""
+        return self._shard.connections_opened
 
-    def _drop(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+    @property
+    def reconnects(self) -> int:
+        """Retry attempts after failed round trips."""
+        return self._shard.reconnects
 
     def close(self) -> None:
         """Close this thread's persistent connection (if any)."""
-        self._drop()
+        self._shard.close()
 
     def __call__(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         cmd = payload.get("cmd", "plan")
@@ -366,66 +324,32 @@ class KeepAliveTransport:
             method = "POST"
             path = "/feedback" if cmd == "feedback" else "/plan"
             body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if body else {}
         deadline = payload.get("deadline")
         budget = float(deadline) if deadline is not None else None
-        start = time.monotonic()
-        last_error: Optional[Exception] = None
-        for attempt in range(self.max_attempts):
-            remaining: Optional[float] = None
-            if budget is not None:
-                remaining = budget - (time.monotonic() - start)
-                if remaining <= 0.0:
-                    break
-                headers["X-Fupermod-Deadline"] = f"{remaining:.6f}"
-            if attempt:
-                # A stale kept-alive connection (server restarted, idle
-                # close) or a transient fault: back off with full jitter
-                # before the fresh-connection retry, bounded by the
-                # remaining deadline.
-                with self._count_lock:
-                    self.reconnects += 1
-                delay = self.rng.uniform(
-                    0.0, self.backoff_base * (2.0 ** (attempt - 1))
-                )
-                if remaining is not None:
-                    delay = min(delay, max(0.0, remaining))
-                if delay > 0.0:
-                    time.sleep(delay)
-            conn = self._connection()
-            try:
-                conn.request(method, self.prefix + path, body=body,
-                             headers=headers)
-                reply = conn.getresponse()
-                data = reply.read()
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                self._drop()
-                last_error = exc
-                continue
-            if reply.will_close:
-                self._drop()
-            try:
-                decoded = json.loads(data.decode("utf-8"))
-                if not isinstance(decoded, dict):
-                    raise ValueError("expected a JSON object")
-            except (UnicodeDecodeError, ValueError):
-                decoded = {"error": f"HTTP {reply.status}"}
-            if reply.status >= 400:
-                decoded.setdefault("error", f"HTTP {reply.status}")
-                decoded.setdefault("code", reply.status)
-                retry_after = reply.headers.get("Retry-After")
-                if retry_after is not None and "retry_after" not in decoded:
-                    try:
-                        decoded["retry_after"] = float(retry_after)
-                    except ValueError:
-                        pass
-            return decoded
-        if last_error is not None:
-            raise last_error
-        return {
-            "error": "deadline exhausted before reaching the server",
-            "code": 504,
-        }
+        if budget is not None and budget <= 0.0:
+            return {
+                "error": "deadline exhausted before reaching the server",
+                "code": 504,
+            }
+        status, headers, data = self._shard._exchange(
+            method, path, body, deadline=budget
+        )
+        try:
+            decoded = json.loads(data.decode("utf-8"))
+            if not isinstance(decoded, dict):
+                raise ValueError("expected a JSON object")
+        except (UnicodeDecodeError, ValueError):
+            decoded = {"error": f"HTTP {status}"}
+        if status >= 400:
+            decoded.setdefault("error", f"HTTP {status}")
+            decoded.setdefault("code", status)
+            retry_after = headers.get("Retry-After")
+            if retry_after is not None and "retry_after" not in decoded:
+                try:
+                    decoded["retry_after"] = float(retry_after)
+                except ValueError:
+                    pass
+        return decoded
 
 
 def http_transport(base_url: str, timeout: float = 30.0) -> Transport:

@@ -1,6 +1,8 @@
-"""Wire front ends for the plan server: JSON-lines stdio and HTTP.
+"""The plan-service protocol and its JSON-lines stdio transport.
 
-Both front ends speak the same tiny protocol over a
+:func:`handle_request` serves one decoded protocol object; the stdio
+transport here and the asyncio HTTP front end
+(:class:`~repro.serve.aio.AioFrontend`) both speak it over a
 :class:`~repro.serve.server.PlanServer`:
 
 * a **plan** request is an object with ``total`` (required),
@@ -59,22 +61,22 @@ repaired by anti-entropy -- all off the request path (see
 :mod:`repro.serve.replicate` and docs/API.md "Fleet replication &
 partition tolerance").
 
-A request arriving over HTTP may carry an ``X-Fupermod-Deadline``
-header: the remaining time budget (seconds) propagated by the previous
-hop.  It merges into the payload's ``deadline`` as a minimum -- a hop
-can shrink, never extend, the budget it was granted.
+A request arriving over HTTP may carry the
+:data:`~repro.serve.shard.DEADLINE_HEADER` header: the remaining time
+budget (seconds) propagated by the previous hop.  It merges into the
+payload's ``deadline`` as a minimum -- a hop can shrink, never extend,
+the budget it was granted.
 
 The stdio transport (``fupermod serve``) reads one JSON object per line
 and writes one JSON object per line, which makes it scriptable from any
 language and trivially testable.  The HTTP transport
-(``fupermod serve --http``) uses only the standard library
-(:mod:`http.server`), honouring the no-new-dependencies rule.
+(``fupermod serve --http``) is :mod:`repro.serve.aio`, standard library
+only, honouring the no-new-dependencies rule.
 """
 
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, IO, Optional
 
 import math
@@ -90,6 +92,7 @@ from repro.errors import (
 )
 from repro.serve.plan import PLAN_KINDS
 from repro.serve.server import PlanServer
+from repro.serve.shard import DEADLINE_HEADER
 
 #: Default request-body cap for the HTTP transport (1 MiB).
 MAX_BODY_BYTES = 1 << 20
@@ -162,7 +165,7 @@ def validate_objective(
 def merge_deadline_header(
     payload: Dict[str, Any], headers: Optional[Dict[str, Optional[str]]]
 ) -> None:
-    """Fold a propagated ``X-Fupermod-Deadline`` header into ``payload``.
+    """Fold a propagated :data:`DEADLINE_HEADER` into ``payload``.
 
     The header carries the *remaining* per-request budget (seconds) from
     the previous hop; the payload may carry its own ``deadline`` field.
@@ -174,7 +177,7 @@ def merge_deadline_header(
     """
     if not headers:
         return
-    raw = headers.get("x-fupermod-deadline")
+    raw = headers.get(DEADLINE_HEADER.lower())
     if raw is None:
         return
     try:
@@ -199,7 +202,7 @@ def handle_request(server: PlanServer, payload: Dict[str, Any]) -> Dict[str, Any
     Shared by both transports so the protocol cannot drift between them.
     Error responses carry a ``code`` field with the HTTP-status taxonomy
     from the module docstring (the stdio transport passes it through
-    verbatim; the HTTP transport promotes it to the response status).
+    verbatim; the HTTP front end promotes it to the response status).
     """
     req_id = payload.get("id")
     try:
@@ -325,106 +328,3 @@ def serve_stdio(
         print(json.dumps(handle_request(server, payload)), file=stdout,
               flush=True)
     return served
-
-
-class _PlanHTTPHandler(BaseHTTPRequestHandler):
-    """Request handler bridging HTTP to :func:`handle_request`."""
-
-    # The bound PlanServer, set by make_http_server on the handler class.
-    plan_server: Optional[PlanServer] = None
-    # Request-body cap; bodies over this are refused with 413.
-    max_body_bytes: int = MAX_BODY_BYTES
-    # HTTP/1.1 keeps connections alive between requests (every response
-    # carries Content-Length, which 1.1 keep-alive requires).  This is
-    # half of the client-side connection-reuse win -- the other half is
-    # PlanClient's persistent-connection transport.
-    protocol_version = "HTTP/1.1"
-
-    def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        retry_after = payload.get("retry_after")
-        if status in (429, 503) and retry_after is not None:
-            # RFC 7231 Retry-After in whole seconds, at least 1.
-            self.send_header(
-                "Retry-After", str(max(1, int(round(retry_after))))
-            )
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """``GET /stats`` or ``GET /metrics``; anything else 404."""
-        path = self.path.rstrip("/")
-        assert self.plan_server is not None
-        if path == "/stats":
-            self._send(200, {"stats": self.plan_server.stats()})
-        elif path == "/metrics":
-            self._send(200, {"metrics": self.plan_server.metrics()})
-        else:
-            self._send(404, {"error": f"no such endpoint {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        """``POST /plan`` or ``POST /feedback`` with a JSON body."""
-        path = self.path.rstrip("/")
-        if path not in ("/plan", "/feedback"):
-            self._send(404, {"error": f"no such endpoint {self.path!r}"})
-            return
-        assert self.plan_server is not None
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send(400, {"error": "bad Content-Length header"})
-            return
-        if length > self.max_body_bytes:
-            # Refuse before reading: an oversized body must not be
-            # buffered into memory just to be rejected.
-            self._send(413, {
-                "error": (
-                    f"request body of {length} bytes exceeds the "
-                    f"{self.max_body_bytes}-byte cap"
-                ),
-            })
-            self.close_connection = True
-            return
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-        except ValueError as exc:
-            self._send(400, {"error": f"bad JSON: {exc}"})
-            return
-        merge_deadline_header(
-            payload,
-            {"x-fupermod-deadline": self.headers.get("X-Fupermod-Deadline")},
-        )
-        if path == "/feedback":
-            payload["cmd"] = "feedback"
-        response = handle_request(self.plan_server, payload)
-        status = response.pop("code", None) if "error" in response else None
-        self._send(status or (400 if "error" in response else 200), response)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        """Silence per-request stderr logging (the CLI owns the terminal)."""
-
-
-def make_http_server(
-    server: PlanServer,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_body_bytes: int = MAX_BODY_BYTES,
-) -> ThreadingHTTPServer:
-    """Build (but do not start) the HTTP transport for ``server``.
-
-    Returns a :class:`ThreadingHTTPServer`; the caller runs
-    ``serve_forever()`` (the CLI) or drives it from a thread and reads
-    ``server_address`` for the bound port (tests pass ``port=0``).
-    ``max_body_bytes`` caps POST bodies; larger ones get 413.
-    """
-    handler = type(
-        "PlanHTTPHandler",
-        (_PlanHTTPHandler,),
-        {"plan_server": server, "max_body_bytes": max_body_bytes},
-    )
-    return ThreadingHTTPServer((host, port), handler)

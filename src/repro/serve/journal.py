@@ -238,25 +238,27 @@ class AppendJournal:
         if not self.path.exists():
             return [], 0, False
         try:
-            with self.opener(self.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
+            # Bytes, not text: universal-newline decoding would turn a
+            # lone b"\r" in a torn tail into a line break and hide it.
+            with self.opener(self.path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
             raise PersistenceError(f"cannot read {self.path}: {exc}") from exc
         entries: List[Any] = []
         valid_bytes = 0
         dropped = False
-        lines = text.split("\n")
+        lines = data.split(b"\n")
         # A well-formed journal ends with a newline, so the final split
         # element is empty; anything else is a torn tail.
         body, tail = lines[:-1], lines[-1]
         if tail:
             dropped = True
-        for lineno, line in enumerate(body, start=1):
-            if not line.strip():
-                valid_bytes += len(line.encode("utf-8")) + 1
+        for lineno, raw in enumerate(body, start=1):
+            if not raw.strip():
+                valid_bytes += len(raw) + 1
                 continue
             try:
-                entry = self._parse(line, lineno)
+                entry = self._parse(raw, lineno)
             except PersistenceError as exc:
                 if lineno == len(body) and not tail \
                         and self._tail_forgivable(exc):
@@ -266,14 +268,17 @@ class AppendJournal:
                     break
                 raise
             entries.append(entry)
-            valid_bytes += len(line.encode("utf-8")) + 1
+            valid_bytes += len(raw) + 1
         return entries, valid_bytes, dropped
 
-    def _parse(self, line: str, lineno: int) -> Any:
-        """Decode and frame-check one line, then delegate to the subclass."""
+    def _parse(self, raw: bytes, lineno: int) -> Any:
+        """Decode and frame-check one line, then delegate to the subclass.
+
+        Undecodable UTF-8 is damage exactly like malformed JSON.
+        """
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise PersistenceError(f"{self.path}:{lineno}: {exc}") from None
         if not isinstance(record, dict) or record.get("magic") != self.magic:
             raise JournalFormatError(

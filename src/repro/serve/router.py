@@ -53,10 +53,11 @@ from repro.core.point import MeasurementPoint
 from repro.errors import FuPerModError, PartitionError
 from repro.serve.aio import (
     MAX_BODY_BYTES, AsyncHTTPBase, Reply, merge_deadline_header,
+    read_header_block,
 )
 from repro.serve.fingerprint import affinity_key
 from repro.serve.hashring import DEFAULT_REPLICAS, HashRing
-from repro.serve.shard import DEADLINE_HEADER
+from repro.serve.shard import DEADLINE_HEADER, parse_base_url
 
 #: Slot budget the partitioner divides among workers.  Finer than the
 #: worker count by orders of magnitude so shares resolve small speed
@@ -343,14 +344,9 @@ class WorkerLink:
     def __init__(
         self, shard_id: str, url: str, pool: int = 8, timeout: float = 30.0
     ) -> None:
-        if not url.startswith("http://"):
-            raise FuPerModError(f"worker link needs an http:// URL, got {url!r}")
-        hostport = url[len("http://"):].rstrip("/")
-        host, _, port_text = hostport.partition(":")
         self.shard_id = shard_id
         self.url = url.rstrip("/")
-        self.host = host
-        self.port = int(port_text)
+        self.host, self.port, self.prefix = parse_base_url(url)
         self.timeout = timeout
         self._free: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         self._sem = asyncio.Semaphore(pool)
@@ -364,7 +360,7 @@ class WorkerLink:
     ) -> Tuple[int, Dict[str, str], bytes]:
         payload = body or b""
         head_lines = [
-            f"{method} {path} HTTP/1.1",
+            f"{method} {self.prefix}{path} HTTP/1.1",
             f"Host: {self.host}:{self.port}",
             f"Content-Length: {len(payload)}",
             "Content-Type: application/json",
@@ -387,18 +383,10 @@ class WorkerLink:
                 if not status_line:
                     raise ConnectionError("worker closed the connection")
                 status = int(status_line.split()[1])
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        raise ConnectionError("worker truncated the response")
-                    if line in (b"\r\n", b"\n"):
-                        break
-                    name, _, value = (
-                        line.decode("ascii", "replace").partition(":")
-                    )
-                    headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0"))
+                reply_headers = await read_header_block(reader)
+                if reply_headers is None:
+                    raise ConnectionError("worker truncated the response")
+                length = int(reply_headers.get("content-length", "0"))
                 data = await reader.readexactly(length) if length else b""
             except (
                 ConnectionError, OSError,
@@ -408,11 +396,12 @@ class WorkerLink:
                 if reused:
                     continue  # stale kept-alive connection: one fresh retry
                 raise
-            if headers.get("connection", "keep-alive").lower() == "close":
+            keep = reply_headers.get("connection", "keep-alive").lower()
+            if keep == "close":
                 writer.close()
             else:
                 self._free.append((reader, writer))
-            return status, headers, data
+            return status, reply_headers, data
 
     async def request(
         self,

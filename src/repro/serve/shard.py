@@ -22,14 +22,17 @@ worker process and exposes the fleet-internal surface too --
 Connections are persistent (HTTP/1.1 keep-alive).  A request that fails
 on a connection is retried on a fresh one with **bounded, jittered
 backoff** -- up to ``max_attempts`` tries, sleeping uniform in
-``[0, base * 2**k]`` before retry ``k`` -- instead of the old single
-blind retry, so a briefly unreachable peer (restart, transient
-partition) is ridden out without a fleet of clients hammering it in
-lockstep.  A propagated per-hop deadline caps the whole attempt loop:
-retries never outlive the caller.  ``reconnects`` counts retry attempts
-(the witness the backoff tests assert on) alongside
-``connections_opened``; instances are thread-safe via thread-local
-connections.
+``[0, base * 2**k]`` before retry ``k`` -- so a briefly unreachable
+peer (restart, transient partition) is ridden out without a fleet of
+clients hammering it in lockstep.  A propagated per-hop deadline caps
+the whole attempt loop: retries never outlive the caller.
+``reconnects`` counts retry attempts (the witness the backoff tests
+assert on) alongside ``connections_opened``; instances are thread-safe
+via thread-local connections.
+
+It is the package's one synchronous HTTP client (the public
+:class:`~repro.serve.client.KeepAliveTransport` adapts it), and
+:func:`parse_base_url` is the one base-URL parser of every client.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import json
 import random
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import urllib.parse
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import FuPerModError
 from repro.serve.plan import PlanResult
@@ -49,11 +53,33 @@ from repro.serve.plan import PlanResult
 DEADLINE_HEADER = "X-Fupermod-Deadline"
 
 
+def parse_base_url(url: str) -> Tuple[str, int, str]:
+    """Split an ``http://host[:port][/prefix]`` base URL.
+
+    Returns ``(host, port, prefix)``: the port defaults to 80 and the
+    path prefix, prepended to every request path, carries no trailing
+    slash.  Raises :class:`~repro.errors.FuPerModError` for any other
+    scheme, a missing host or a malformed port.
+    """
+    parsed = urllib.parse.urlsplit(url)
+    if parsed.scheme not in ("http", ""):
+        raise FuPerModError(f"need an http:// URL, got {url!r}")
+    try:
+        port = parsed.port
+    except ValueError:
+        raise FuPerModError(f"bad port in URL {url!r}") from None
+    if not parsed.hostname:
+        raise FuPerModError(f"no host in URL {url!r}")
+    host, prefix = parsed.hostname, parsed.path.rstrip("/")
+    return host, 80 if port is None else port, prefix
+
+
 class ShardClient:
     """Keep-alive HTTP client for one worker shard.
 
     Args:
-        url: the worker's base URL (``http://host:port``).
+        url: the worker's base URL (``http://host:port``, parsed by
+            :func:`parse_base_url`).
         shard_id: the worker's fleet identity (for error messages and
             router bookkeeping; not sent on the wire).
         timeout: socket timeout per request, seconds.
@@ -75,22 +101,12 @@ class ShardClient:
         backoff_base: float = 0.02,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not url.startswith("http://"):
-            raise FuPerModError(f"shard client needs an http:// URL, got {url!r}")
-        hostport = url[len("http://"):].rstrip("/")
-        host, _, port_text = hostport.partition(":")
-        if not host or not port_text:
-            raise FuPerModError(f"shard URL must be http://host:port, got {url!r}")
-        try:
-            self.port = int(port_text)
-        except ValueError:
-            raise FuPerModError(f"bad port in shard URL {url!r}") from None
+        self.host, self.port, self.prefix = parse_base_url(url)
         if max_attempts <= 0:
             raise FuPerModError(
                 f"max_attempts must be positive, got {max_attempts}"
             )
-        self.host = host
-        self.url = f"http://{host}:{self.port}"
+        self.url = f"http://{self.host}:{self.port}{self.prefix}"
         self.shard_id = shard_id or self.url
         self.timeout = timeout
         self.max_attempts = max_attempts
@@ -116,32 +132,29 @@ class ShardClient:
                 self.connections_opened += 1
         return conn
 
-    def _drop(self) -> None:
+    def close(self) -> None:
+        """Close this thread's persistent connection (if any)."""
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             conn.close()
             self._local.conn = None
 
-    def close(self) -> None:
-        """Close this thread's persistent connection (if any)."""
-        self._drop()
-
-    def _roundtrip(
+    def _exchange(
         self,
         method: str,
         path: str,
         body: Optional[bytes] = None,
         deadline: Optional[float] = None,
-    ) -> Tuple[int, bytes]:
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
         """One request with bounded, jittered reconnect backoff.
 
         ``deadline`` is the remaining per-request budget in seconds: it
         caps the whole attempt loop (no retry starts past it) and rides
-        to the shard in the ``X-Fupermod-Deadline`` header so downstream
-        work never outlives the caller either.  Returns ``(status, raw
-        body bytes)``; raises ``ConnectionError`` / ``OSError`` when the
-        shard stays unreachable through every allowed attempt (the
-        router's cue to mark it dead).
+        to the shard in the :data:`DEADLINE_HEADER` header so downstream
+        work never outlives the caller either.  Returns ``(status,
+        response headers, raw body bytes)``; raises ``ConnectionError``
+        / ``OSError`` when the shard stays unreachable through every
+        allowed attempt (the router's cue to mark it dead).
         """
         start = time.monotonic()
         headers: Dict[str, str] = (
@@ -167,16 +180,17 @@ class ShardClient:
                     time.sleep(delay)
             conn = self._connection()
             try:
-                conn.request(method, path, body=body, headers=headers)
+                conn.request(method, self.prefix + path, body=body,
+                             headers=headers)
                 reply = conn.getresponse()
                 data = reply.read()
             except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                self._drop()
+                self.close()
                 last_error = exc
                 continue
             if reply.will_close:
-                self._drop()
-            return reply.status, data
+                self.close()
+            return reply.status, reply.headers, data
         if last_error is not None:
             raise (
                 last_error
@@ -186,6 +200,21 @@ class ShardClient:
         raise ConnectionError(
             f"deadline exhausted before reaching shard {self.shard_id}"
         )
+
+    def _roundtrip(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        deadline: Optional[float] = None,
+    ) -> Tuple[int, bytes]:
+        """:meth:`_exchange` without the headers: ``(status, raw body)``.
+
+        The fleet surface below funnels through here: the seam
+        :func:`repro.faults.net.wrap_shard_client` wraps.
+        """
+        status, _headers, data = self._exchange(method, path, body, deadline)
+        return status, data
 
     def _json(
         self,

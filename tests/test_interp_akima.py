@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InterpolationError
@@ -161,12 +161,22 @@ class TestProperties:
 
     @given(_spline_points())
     @settings(max_examples=40)
+    # A steep segment ending at a large knot: a probe offset that scales
+    # with the knot (|knot| * 1e-9) reads slope * offset as a jump here.
+    @example(
+        pts=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0),
+             (5.0, 0.0), (6.0, 0.0), (64232.0, 5.0), (64234.0, 0.0),
+             (64235.0, 0.0)]
+    )
     def test_c0_continuity_at_interior_knots(self, pts):
         f = AkimaSpline(pts, min_y=-1e9)
         xs = sorted(x for x, _ in pts)
         for knot in xs[1:-1]:
-            eps = max(abs(knot), 1.0) * 1e-9
-            assert f(knot - eps) == pytest.approx(f(knot + eps), rel=1e-4, abs=1e-4)
+            # One-sided limits, probed at the nearest floats either side, so
+            # the comparison measures a jump and not the local slope.
+            left = f(math.nextafter(knot, -math.inf))
+            right = f(math.nextafter(knot, math.inf))
+            assert left == pytest.approx(right, rel=1e-4, abs=1e-4)
 
     @given(st.floats(min_value=-3.0, max_value=3.0),
            st.floats(min_value=-10.0, max_value=10.0))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.point import MeasurementPoint
@@ -134,6 +134,8 @@ class TestTruncation:
     @given(count=st.integers(1, 6),
            garbage=st.binary(min_size=1, max_size=40).map(
                lambda b: b.replace(b"\n", b"x")))
+    # A lone carriage return is garbage too, not a line break.
+    @example(count=1, garbage=b"\r")
     @settings(**COMMON)
     def test_garbage_tail_is_dropped_not_parsed(
         self, tmp_path_factory, kind, count, garbage

@@ -1,10 +1,10 @@
 """Asyncio front end: protocol parity, keep-alive, fast lane, taxonomy.
 
-The asyncio transport must be *indistinguishable* from the threaded one
-at the protocol level -- both funnel misses through the same
-:func:`~repro.serve.frontend.handle_request` -- while serving cache hits
-inline on the event loop.  These tests drive both front ends over real
-sockets and compare.
+The asyncio transport must be *indistinguishable* at the protocol level
+from :func:`~repro.serve.frontend.handle_request` served in-process --
+misses funnel through it -- while serving cache hits inline on the
+event loop.  These tests drive the front end over real sockets and
+compare its answers with the protocol function's on a twin server.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from repro.serve import AioFrontend, PlanServer
 from repro.serve.aio import try_fast_plan
-from repro.serve.frontend import make_http_server
+from repro.serve.frontend import handle_request
 
 from tests.test_serve_overload import gated_partitioner  # noqa: F401
 from tests.test_serve_server import make_models, scratch_partitioner  # noqa: F401
@@ -61,18 +61,18 @@ def aio_server():
 
 
 @pytest.fixture
-def threaded_server():
-    """The same plan server behind the threaded stdlib front end."""
+def reference_server():
+    """A twin plan server, answered through the protocol function."""
     with PlanServer(make_models()) as server:
-        httpd = make_http_server(server, port=0)
-        runner = threading.Thread(target=httpd.serve_forever, daemon=True)
-        runner.start()
-        host, port = httpd.server_address[:2]
-        try:
-            yield server, f"http://{host}:{port}"
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
+        yield server
+
+
+def reference(server, payload):
+    """The ``(status, body)`` the HTTP front end must answer ``payload`` with."""
+    response = json.loads(json.dumps(handle_request(server, dict(payload))))
+    if "error" in response:
+        return response.pop("code", 400), response
+    return 200, response
 
 
 def scrub_timing(body):
@@ -83,11 +83,10 @@ def scrub_timing(body):
 
 
 class TestProtocolParity:
-    """Same requests, same responses, either front end."""
+    """Same requests, same responses, over HTTP or in-process."""
 
-    def test_plan_responses_match(self, aio_server, threaded_server):
+    def test_plan_responses_match(self, aio_server, reference_server):
         _, frontend = aio_server
-        _, threaded_url = threaded_server
         for payload in (
             {"total": 1200, "id": "a"},
             {"total": 1200, "id": "b"},          # cached on each side now
@@ -95,15 +94,14 @@ class TestProtocolParity:
             {"total": 0},
         ):
             a_status, a_body, _ = post_json(f"{frontend.url}/plan", payload)
-            t_status, t_body, _ = post_json(f"{threaded_url}/plan", payload)
-            assert a_status == t_status
-            assert scrub_timing(a_body) == scrub_timing(t_body)
+            r_status, r_body = reference(reference_server, payload)
+            assert a_status == r_status
+            assert scrub_timing(a_body) == scrub_timing(r_body)
         # The second identical request was a hit on both sides.
         assert post_json(f"{frontend.url}/plan", {"total": 1200})[1]["cached"]
 
-    def test_error_responses_match(self, aio_server, threaded_server):
+    def test_error_responses_match(self, aio_server, reference_server):
         _, frontend = aio_server
-        _, threaded_url = threaded_server
         for payload in (
             {"total": "many"},
             {"partitioner": "geometric"},        # no total
@@ -111,16 +109,18 @@ class TestProtocolParity:
             {"total": 500, "partitioner": "no-such-algorithm"},
         ):
             a_status, a_body, _ = post_json(f"{frontend.url}/plan", payload)
-            t_status, t_body, _ = post_json(f"{threaded_url}/plan", payload)
-            assert (a_status, a_body) == (t_status, t_body)
+            r_status, r_body = reference(reference_server, payload)
+            assert (a_status, a_body) == (r_status, r_body)
             assert a_status == 400 and "error" in a_body
 
-    def test_metrics_on_both_frontends(self, aio_server, threaded_server):
+    def test_metrics_on_both_frontends(self, aio_server, reference_server):
         _, frontend = aio_server
-        _, threaded_url = threaded_server
-        for base in (frontend.url, threaded_url):
-            post_json(f"{base}/plan", {"total": 640})
-            status, body = get_json(f"{base}/metrics")
+        post_json(f"{frontend.url}/plan", {"total": 640})
+        reference(reference_server, {"total": 640})
+        for status, body in (
+            get_json(f"{frontend.url}/metrics"),
+            reference(reference_server, {"cmd": "metrics"}),
+        ):
             assert status == 200
             metrics = body["metrics"]
             assert metrics["schema"] == "fupermod-metrics/4"

@@ -102,13 +102,12 @@ class TestServeStdio:
 
 
 class TestServeHTTP:
-    """The stdlib HTTP transport on an ephemeral port."""
+    """The asyncio HTTP front end on an ephemeral port."""
 
     def test_post_plan_and_get_stats(self, points_dir):
         from repro.core.registry import model_factory
         from repro.io.files import load_points
-        from repro.serve import PlanServer
-        from repro.serve.frontend import make_http_server
+        from repro.serve import AioFrontend, PlanServer
 
         models = []
         for path in sorted(points_dir.glob("rank*.points")):
@@ -116,10 +115,9 @@ class TestServeHTTP:
             model.update_many(load_points(path)[0])
             models.append(model)
         with PlanServer(models) as plan_server:
-            httpd = make_http_server(plan_server, port=0)
-            host, port = httpd.server_address[:2]
-            thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-            thread.start()
+            frontend = AioFrontend(plan_server, port=0)
+            frontend.start()
+            host, port = frontend.host, frontend.port
             try:
                 body = json.dumps({"total": 1500}).encode()
                 req = urllib.request.Request(
@@ -142,9 +140,7 @@ class TestServeHTTP:
                     urllib.request.urlopen(bad, timeout=30)
                 assert exc_info.value.code == 400
             finally:
-                httpd.shutdown()
-                httpd.server_close()
-                thread.join(timeout=30)
+                frontend.stop()
 
 
 class TestPartitionCorruptFiles:

@@ -31,9 +31,10 @@ from repro.errors import (
     FuPerModError,
     ServiceOverloadError,
 )
-from repro.serve import PlanClient, PlanServer
+from repro.serve import AioFrontend, PlanClient, PlanServer
 from repro.serve.client import http_transport
-from repro.serve.frontend import handle_request, make_http_server
+from repro.serve.frontend import handle_request
+from repro.serve.shard import parse_base_url
 
 from tests.test_serve_server import make_models, scratch_partitioner  # noqa: F401
 
@@ -249,18 +250,13 @@ class TestErrorTaxonomy:
 @pytest.fixture
 def http_server():
     """A live HTTP front end bound to an ephemeral port."""
-    import threading as _threading
-
     server = PlanServer(make_models(), max_pending=1, shed_retry_after=2.0)
-    httpd = make_http_server(server, port=0, max_body_bytes=512)
-    thread = _threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[:2]
+    frontend = AioFrontend(server, port=0, max_body_bytes=512)
+    frontend.start()
     try:
-        yield server, f"http://{host}:{port}"
+        yield server, frontend.url
     finally:
-        httpd.shutdown()
-        httpd.server_close()
+        frontend.stop()
         server.close()
 
 
@@ -313,6 +309,21 @@ class TestHTTPStatuses:
         with urllib.request.urlopen(url + "/stats", timeout=10.0) as reply:
             stats = json.loads(reply.read())["stats"]
         assert stats["serve"]["computations"] == 1
+
+
+class TestParseBaseUrl:
+    """The one base-URL parser of every HTTP client."""
+
+    def test_host_port_and_prefix(self):
+        assert parse_base_url("http://127.0.0.1:8755") == ("127.0.0.1", 8755, "")
+        assert parse_base_url("http://svc/api/") == ("svc", 80, "/api")
+
+    @pytest.mark.parametrize(
+        "url", ["https://h:1", "ftp://h", "http://:1", "http://h:port"]
+    )
+    def test_malformed_urls_refused(self, url):
+        with pytest.raises(FuPerModError):
+            parse_base_url(url)
 
 
 class RecordingSleep:
