@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass
 class RunningStats:
@@ -120,5 +118,9 @@ def student_t_quantile(confidence_level: float, dof: int) -> float:
         raise ValueError(f"confidence_level must be in (0, 1), got {confidence_level}")
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
+    # scipy.special alone: scipy.stats would cost every process that
+    # imports repro tens of megabytes for this one quantile.
+    from scipy.special import stdtrit
+
     alpha = 1.0 - confidence_level
-    return float(_scipy_stats.t.ppf(1.0 - alpha / 2.0, dof))
+    return float(stdtrit(dof, 1.0 - alpha / 2.0))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class PerformanceModel(abc.ABC):
     def __init__(self) -> None:
         self._points: List[MeasurementPoint] = []
         self._dirty = False
+        self._version = 0
+        #: ``(version, digest)`` kept by
+        #: :func:`repro.serve.fingerprint.fingerprint_model`.
+        self._fingerprint_memo: Optional[Tuple[Any, str]] = None
 
     @property
     def points(self) -> Sequence[MeasurementPoint]:
@@ -53,6 +57,16 @@ class PerformanceModel(abc.ABC):
     def count(self) -> int:
         """Number of experimental points."""
         return len(self._points)
+
+    @property
+    def version(self) -> Any:
+        """Mutation counter, bumped by every :meth:`update`/:meth:`update_many`.
+
+        Points -- and so the fit -- change only through those two methods,
+        so while the counter holds, :meth:`fingerprint_state` does too: the
+        serving layer reuses a model's fingerprint until it moves.
+        """
+        return self._version
 
     @property
     def is_ready(self) -> bool:
@@ -97,6 +111,7 @@ class PerformanceModel(abc.ABC):
         self._validate_point(point)
         self._points.append(point)
         self._dirty = True
+        self._version += 1
 
     def update_many(self, points: Sequence[MeasurementPoint]) -> None:
         """Add several points in one go (single deferred rebuild)."""
@@ -104,6 +119,7 @@ class PerformanceModel(abc.ABC):
             self._validate_point(point)
         self._points.extend(points)
         self._dirty = True
+        self._version += 1
 
     def _ensure_built(self) -> None:
         """Run the deferred :meth:`_rebuild` if new points arrived."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from repro.core.models.base import PerformanceModel
 from repro.core.partition.batch import model_times
@@ -152,7 +151,9 @@ def partition_numerical(
     if result.converged:
         shares = [float(v) for v in result.x]
     else:
-        sol = _sciopt.root(residual, x0, method="hybr")
+        from scipy.optimize import root  # only the fallback needs scipy
+
+        sol = root(residual, x0, method="hybr")
         if sol.success and np.all(np.asarray(sol.x) >= -1e-9):
             x = np.clip(np.asarray(sol.x, dtype=float), 0.0, float(total))
             if abs(float(np.sum(x)) - total) <= max(1e-6 * total, 1e-6):

@@ -248,6 +248,19 @@ class BlendedModel(PerformanceModel):
     def is_ready(self) -> bool:
         return self._tm.is_ready and self._em.is_ready
 
+    @property
+    def version(self) -> Any:
+        """Follows both components' counters: the blend owns no points.
+
+        ``None`` when a component has no counter, so the blend is then
+        re-fingerprinted on every call, like its component.
+        """
+        tm = getattr(self._tm, "version", None)
+        em = getattr(self._em, "version", None)
+        if tm is None or em is None:
+            return None
+        return (self._version, tm, em)
+
     def _rebuild(self) -> None:  # components own their fits
         pass
 

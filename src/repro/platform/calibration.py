@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from repro.errors import PlatformError
 from repro.platform.profiles import CacheHierarchyProfile, GpuProfile
@@ -64,6 +63,8 @@ def fit_gpu_profile(samples: Sequence[SpeedSample]) -> ProfileFit:
     The model is ``rate(d) = peak * d / (d + ramp)``; memory-cap behaviour
     is not fitted (pass it explicitly when constructing platforms).
     """
+    from scipy.optimize import curve_fit
+
     d, r = _check_samples(samples, minimum=3)
 
     def model(x, log_peak, log_ramp):
@@ -72,7 +73,7 @@ def fit_gpu_profile(samples: Sequence[SpeedSample]) -> ProfileFit:
         return peak * x / (x + ramp)
 
     p0 = (np.log(np.max(r) * 1.2), np.log(np.median(d)))
-    params, *_ = _sciopt.curve_fit(model, d, r, p0=p0, maxfev=20000)
+    params, *_ = curve_fit(model, d, r, p0=p0, maxfev=20000)
     peak, ramp = float(np.exp(params[0])), float(np.exp(params[1]))
     profile = GpuProfile(peak_flops=peak, ramp_units=ramp)
     predicted = np.asarray([profile.flops_at(x) for x in d])
@@ -90,6 +91,8 @@ def fit_cache_profile(
     parameterisation (log rates, log capacity, log rate *drop*) keeps the
     fit inside the physically valid region: positive rates, ``r2 < r1``.
     """
+    from scipy.optimize import curve_fit
+
     d, r = _check_samples(samples, minimum=4)
 
     def model(x, log_r1, log_drop, log_c):
@@ -105,7 +108,7 @@ def fit_cache_profile(
         np.log(max(np.max(r) / max(np.min(r), 1e-9) - 1.0, 0.5)),
         np.log(np.median(d)),
     )
-    params, *_ = _sciopt.curve_fit(model, d, r, p0=p0, maxfev=20000)
+    params, *_ = curve_fit(model, d, r, p0=p0, maxfev=20000)
     r1 = float(np.exp(params[0]))
     r2 = r1 / (1.0 + float(np.exp(params[1])))
     c = float(np.exp(params[2]))

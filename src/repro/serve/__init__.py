@@ -128,12 +128,13 @@ from repro.serve.replicate import (
     entry_fingerprint,
 )
 from repro.serve.router import (
+    FLEET_METRICS_SCHEMA,
     FpmBalancer,
     PlanRouter,
     RetryBudget,
     RoundRobinBalancer,
 )
-from repro.serve.server import PlanServer
+from repro.serve.server import METRICS_SCHEMA, PlanServer
 from repro.serve.shard import DEADLINE_HEADER, ShardClient
 from repro.serve.wal import DurablePlanCache, PlanWAL, ReplayResult
 
@@ -147,6 +148,7 @@ __all__ = [
     "DEFAULT_REPLICA_SET",
     "DurablePlanCache",
     "FINGERPRINT_VERSION",
+    "FLEET_METRICS_SCHEMA",
     "FeedbackController",
     "FeedbackCounters",
     "FeedbackQuarantine",
@@ -157,6 +159,7 @@ __all__ = [
     "KeepAliveTransport",
     "LineageRecord",
     "LineageWAL",
+    "METRICS_SCHEMA",
     "ModelLineage",
     "PLAN_KINDS",
     "PLAN_KIND_VERSION",

@@ -117,11 +117,13 @@ class PlanEngine:
     ) -> PlanRequest:
         """Build the content-addressed request for ``models`` at ``total``.
 
-        The model fingerprint is recomputed on every call -- the dynamic
+        The model fingerprint is checked on every call -- the dynamic
         loops mutate models between requests, and a stale fingerprint
-        would serve a stale plan.  For non-``"time"`` kinds the energy
-        models fingerprint the same way, so refitting the power side
-        alone changes exactly the energy-keyed identities.
+        would serve a stale plan -- but each model is hashed only once
+        per version (:func:`~repro.serve.fingerprint.fingerprint_model`),
+        so an unchanged set costs a memo lookup.  For non-``"time"``
+        kinds the energy models fingerprint the same way, so refitting
+        the power side alone changes exactly the energy-keyed identities.
         """
         if kind != "time" and not energy_models:
             raise PartitionError(

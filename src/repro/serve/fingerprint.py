@@ -19,12 +19,17 @@ Stability contract (documented in ``docs/API.md``):
 * the encoding is versioned (``_V`` prefix); any change to the canonical
   form bumps the version and thereby invalidates persisted caches instead
   of silently colliding with them.
+
+Digests are memoised: a model's digest is reused while its mutation
+counter (``version``) holds, and a model set's digest is looked up by
+the tuple of its members' digests.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, Tuple
 
 from repro.errors import FuPerModError
 
@@ -82,14 +87,27 @@ def fingerprint_model(model) -> str:
     Delegates to the model's ``fingerprint_state`` hook (resolving the
     lazy fit), so equality of fingerprints means equality of the fitted
     parameters predictions actually use.
+
+    A model with a mutation counter (``version``, see
+    :attr:`~repro.core.models.base.PerformanceModel.version`) is hashed
+    once per version: the counter is read *before* hashing and stored
+    with the digest, so a mutation racing the hash leaves a memo that
+    no longer matches.  Models without the counter are hashed per call.
     """
+    version = getattr(model, "version", None)
+    memo = getattr(model, "_fingerprint_memo", None)
+    if memo is not None and memo[0] == version:
+        return memo[1]
     state = getattr(model, "fingerprint_state", None)
     if state is None:
         raise FuPerModError(
             f"{type(model).__name__} has no fingerprint_state hook; "
             "serving requires a fingerprintable PerformanceModel"
         )
-    return digest("model", state())
+    fp = digest("model", state())
+    if version is not None:
+        model._fingerprint_memo = (version, fp)
+    return fp
 
 
 def fingerprint_models(models: Sequence) -> str:
@@ -99,7 +117,14 @@ def fingerprint_models(models: Sequence) -> str:
     partitioning problem -- so the combined hash covers the sequence of
     per-model fingerprints in order.
     """
-    return digest("models", [fingerprint_model(m) for m in models])
+    return _models_digest(tuple([fingerprint_model(m) for m in models]))
+
+
+@functools.lru_cache(maxsize=32)
+def _models_digest(model_fps: Tuple[str, ...]) -> str:
+    # A tuple encodes exactly as the list it stands for, so set digests
+    # are unchanged; the bound covers a few epochs' speed and energy sets.
+    return digest("models", model_fps)
 
 
 def fingerprint_request(

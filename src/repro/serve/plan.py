@@ -15,6 +15,7 @@ stdio/HTTP front ends and for cache persistence.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -94,13 +95,14 @@ class PlanRequest:
             objective=obj if kind != "time" else (),
         )
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
         """The request's content hash -- cache and coalescing key.
 
         ``"time"`` requests hash exactly as before plan kinds existed;
         other kinds mix ``(kind, energy_fp, objective)`` into the digest
-        so plans of different kinds can never alias.
+        so plans of different kinds can never alias.  Hashed once per
+        request: every field is frozen.
         """
         return fingerprint_objective_request(
             self.kind, self.models_fp, self.energy_fp, self.total,

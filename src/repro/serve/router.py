@@ -59,6 +59,9 @@ from repro.serve.fingerprint import affinity_key
 from repro.serve.hashring import DEFAULT_REPLICAS, HashRing
 from repro.serve.shard import DEADLINE_HEADER, parse_base_url
 
+#: Schema marker of the router's aggregated ``/metrics`` payload.
+FLEET_METRICS_SCHEMA = "fupermod-fleet-metrics/4"
+
 #: Slot budget the partitioner divides among workers.  Finer than the
 #: worker count by orders of magnitude so shares resolve small speed
 #: differences; coarse enough that geometric partitioning is instant.
@@ -946,7 +949,7 @@ class PlanRouter(AsyncHTTPBase):
                 out["fleet"]["durability"] = (
                     self._durability_summary(per_shard)
                 )
-                out["schema"] = "fupermod-fleet-metrics/4"
+                out["schema"] = FLEET_METRICS_SCHEMA
                 out["uptime_s"] = time.monotonic() - self._started_at
                 return 200, {"metrics": out}, None
             return 200, {"stats": out}, None

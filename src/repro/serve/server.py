@@ -42,6 +42,9 @@ from repro.serve.cache import PlanCache
 from repro.serve.engine import PlanEngine
 from repro.serve.plan import PlanRequest, PlanResult
 
+#: Schema marker of a shard's ``/metrics`` payload (:meth:`PlanServer.metrics`).
+METRICS_SCHEMA = "fupermod-metrics/4"
+
 
 class PlanServer:
     """Serve partition plans for one model set, coalescing duplicates.
@@ -130,8 +133,9 @@ class PlanServer:
         ``energy_models[i]`` must model the same device as
         ``models[i]`` (joules instead of seconds), so the lists must
         match in length.  Like the speed models, the energy models are
-        re-fingerprinted per request -- refitting the power side alone
-        changes exactly the energy-keyed cache identities.
+        fingerprinted per request, from each model's per-version memo --
+        refitting the power side alone changes exactly the energy-keyed
+        cache identities.
         """
         energy_models = list(energy_models)
         if len(energy_models) != len(self.models):
@@ -175,10 +179,11 @@ class PlanServer:
         """The plan iff it is already cached locally; never queues work.
 
         This is the asyncio front end's fast lane: a cache hit is served
-        inline on the event loop (fingerprint + LRU lookup, microseconds)
-        instead of round-tripping through the worker pool.  A miss
-        returns ``None`` without counting it -- the caller falls back to
-        :meth:`request`, whose engine path counts the miss exactly once.
+        inline on the event loop (memoised fingerprints, one request-key
+        digest and an LRU lookup: microseconds) instead of round-tripping
+        through the worker pool.  A miss returns ``None`` without counting
+        it -- the caller falls back to :meth:`request`, whose engine path
+        counts the miss exactly once.
         """
         if kind != "time" and self.energy_models is None:
             return None  # the slow path owns the typed 400
@@ -369,7 +374,7 @@ class PlanServer:
         read one stable shape (documented in ``docs/API.md``).
         """
         out = self.stats()
-        out["schema"] = "fupermod-metrics/4"
+        out["schema"] = METRICS_SCHEMA
         out["uptime_s"] = time.monotonic() - self._started_at
         with self._lock:
             out["plans_by_kind"] = dict(self._plans_by_kind)

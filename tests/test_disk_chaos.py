@@ -25,7 +25,12 @@ import pytest
 from repro.cli import main as cli_main
 from repro.faults import DiskFaultPlan, DiskFaults
 from repro.faults.serve import flood_totals
-from repro.serve import PlanFleet, ShardClient, affinity_key
+from repro.serve import (
+    FLEET_METRICS_SCHEMA,
+    PlanFleet,
+    ShardClient,
+    affinity_key,
+)
 
 pytestmark = [pytest.mark.chaos, pytest.mark.fleet, pytest.mark.disk]
 
@@ -122,7 +127,7 @@ class TestDiskDeathMidFlood:
                     lambda: fleet.router.memory_only() == ["shard0"]
                 ), "the router never noticed the memory-only shard"
                 metrics = client.metrics()
-                assert metrics["schema"] == "fupermod-fleet-metrics/4"
+                assert metrics["schema"] == FLEET_METRICS_SCHEMA
                 summary = metrics["fleet"]["durability"]
                 assert summary["memory_only"] == ["shard0"]
                 assert summary["modes"]["memory-only"] == 1

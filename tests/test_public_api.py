@@ -7,6 +7,11 @@ workflow) through the top-level ``repro`` namespace only.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -36,6 +41,22 @@ class TestApiSurface:
 
     def test_error_hierarchy_exposed(self):
         assert issubclass(repro.FuPerModError, Exception)
+
+    def test_serve_stack_loads_neither_scipy_stats_nor_optimize(self):
+        # Every serving process pays for what it imports: scipy.stats
+        # alone is tens of megabytes, and serving needs neither package.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro.serve.aio, repro.cli\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize')"
+            " if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestStaticWorkflow:

@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve import AioFrontend, PlanServer
+from repro.serve import METRICS_SCHEMA, AioFrontend, PlanServer
 from repro.serve.aio import try_fast_plan
 from repro.serve.frontend import handle_request
 
@@ -123,7 +123,7 @@ class TestProtocolParity:
         ):
             assert status == 200
             metrics = body["metrics"]
-            assert metrics["schema"] == "fupermod-metrics/4"
+            assert metrics["schema"] == METRICS_SCHEMA
             assert metrics["uptime_s"] >= 0.0
             assert metrics["serve"]["computations"] == 1
             assert "cache" in metrics

@@ -23,7 +23,13 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.serve import PlanFleet, ShardClient, affinity_key
+from repro.serve import (
+    FLEET_METRICS_SCHEMA,
+    METRICS_SCHEMA,
+    PlanFleet,
+    ShardClient,
+    affinity_key,
+)
 from repro.serve.router import FpmBalancer, RoundRobinBalancer
 
 pytestmark = [pytest.mark.serve, pytest.mark.fleet]
@@ -125,7 +131,7 @@ class TestFleetObservability:
             metrics = client.metrics()
         finally:
             client.close()
-        assert metrics["schema"] == "fupermod-fleet-metrics/4"
+        assert metrics["schema"] == FLEET_METRICS_SCHEMA
         assert metrics["uptime_s"] >= 0.0
         summary = metrics["fleet"]
         assert summary["routing"] == "fpm"
@@ -133,7 +139,7 @@ class TestFleetObservability:
         assert summary["counters"]["affinity_routed"] >= 1
         assert sorted(metrics["shards"]) == sorted(fleet.shards)
         for sid, shard_metrics in metrics["shards"].items():
-            assert shard_metrics["schema"] == "fupermod-metrics/4", sid
+            assert shard_metrics["schema"] == METRICS_SCHEMA, sid
 
     def test_stats_and_health(self, fleet):
         client = ShardClient(fleet.url)

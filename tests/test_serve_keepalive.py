@@ -12,7 +12,13 @@ import threading
 
 import pytest
 
-from repro.serve import AioFrontend, KeepAliveTransport, PlanClient, PlanServer
+from repro.serve import (
+    METRICS_SCHEMA,
+    AioFrontend,
+    KeepAliveTransport,
+    PlanClient,
+    PlanServer,
+)
 from repro.serve.client import http_transport
 from repro.serve.shard import ShardClient
 
@@ -112,7 +118,7 @@ class TestShardClientReuse:
         try:
             for _ in range(10):
                 assert "sizes" in client.plan({"cmd": "plan", "total": 640})
-            assert client.metrics()["schema"] == "fupermod-metrics/4"
+            assert client.metrics()["schema"] == METRICS_SCHEMA
             assert client.health() is True
             assert client.connections_opened == 1
         finally:

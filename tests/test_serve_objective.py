@@ -27,6 +27,7 @@ from repro.platform.power import (
     energy_points_from_power,
 )
 from repro.serve import (
+    METRICS_SCHEMA,
     DurablePlanCache,
     PlanCache,
     PlanClient,
@@ -223,7 +224,7 @@ class TestServingRoundTrip:
         handle_request(server, {"cmd": "plan", "total": 1000,
                                 "objective": "pareto"})
         met = handle_request(server, {"cmd": "metrics"})["metrics"]
-        assert met["schema"] == "fupermod-metrics/4"
+        assert met["schema"] == METRICS_SCHEMA
         assert met["plans_by_kind"]["time"] == 1
         assert met["plans_by_kind"]["pareto"] == 2
 

@@ -100,6 +100,16 @@ class TestStudentT:
     def test_higher_confidence_wider(self):
         assert student_t_quantile(0.99, 10) > student_t_quantile(0.95, 10)
 
+    @pytest.mark.parametrize("cl", [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999])
+    def test_matches_scipy_stats(self, cl):
+        from scipy import stats
+
+        for dof in (1, 2, 3, 5, 10, 30, 100, 1000, 2000):
+            expected = float(stats.t.ppf(1.0 - (1.0 - cl) / 2.0, dof))
+            assert student_t_quantile(cl, dof) == pytest.approx(
+                expected, rel=1e-12, abs=0.0
+            ), dof
+
     @pytest.mark.parametrize("cl", [0.0, 1.0, -0.1, 1.5])
     def test_invalid_confidence_level(self, cl):
         with pytest.raises(ValueError):
