@@ -47,7 +47,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.faults.serve import flood_totals
 from repro.serve import AioFrontend, PlanFleet, PlanServer, ShardClient
-from repro.serve.worker import load_model_set
+from repro.serve.stack import fit_models, load_rank_points
 
 from harness import fmt, print_table
 
@@ -139,7 +139,7 @@ def bench_frontend_http(
     One PlanServer, one pre-warmed total, keep-alive drivers: every
     request is served by the event loop's inline cache-hit fast lane.
     """
-    models = load_model_set(points)
+    models = fit_models(load_rank_points(points))
     warm = [{"cmd": "plan", "total": 77_000}]
 
     def hit_stream(_idx: int) -> Sequence[Dict]:

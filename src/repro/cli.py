@@ -36,7 +36,9 @@ iteration caps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -49,12 +51,15 @@ from repro.core.registry import (
     model_factory,
     partitioner,
 )
-from repro.errors import FuPerModError, PartitionError, PersistenceError
+from repro.errors import FuPerModError
 from repro.core.builder import build_adaptive_model
 from repro.core.partition.limits import partition_with_limits
 from repro.io.files import save_distribution, save_points
 from repro.platform.cluster import Platform
 from repro.platform.presets import fig4_trio, heterogeneous_cluster, hybrid_node
+from repro.serve.stack import (
+    add_stack_flags, build_stack, fit_models, load_rank_points, stack_argv,
+)
 
 _PLATFORM_PRESETS: Dict[str, Callable[[], Platform]] = {
     "heterogeneous": heterogeneous_cluster,
@@ -190,36 +195,8 @@ def _parse_limits(text: str, size: int) -> List[Optional[int]]:
     return out
 
 
-def _point_files(points_dir: Path) -> List[Path]:
-    """The sorted rank point files of a build output directory."""
-    files = sorted(points_dir.glob("rank*.points"))
-    if not files:
-        raise FuPerModError(f"no rank*.points files in {points_dir}")
-    return files
-
-
-def _load_rank_points(path: Path, rank: int):
-    """Load one rank's points, turning persistence failures actionable.
-
-    A missing, truncated or binary-corrupt point file used to escape as a
-    raw traceback; now it is a :class:`~repro.errors.PartitionError`
-    naming the rank, the file and the fix, which ``main`` renders as a
-    one-line ``error:`` message with a nonzero exit.
-    """
-    from repro.io.files import load_points
-
-    try:
-        return load_points(path)[0]
-    except PersistenceError as exc:
-        raise PartitionError(
-            f"cannot load points for rank {rank}: {exc}; the file is "
-            "missing or corrupt -- re-run 'fupermod build' to regenerate it"
-        ) from exc
-
-
 def _cmd_partition(args: argparse.Namespace) -> int:
-    points_dir = Path(args.points)
-    files = _point_files(points_dir)
+    rank_points = load_rank_points(args.points)
     degradation = None
     if args.degrade or args.strict:
         from repro.degrade import DEFAULT_PARTITIONER_LADDER, DegradationPolicy
@@ -231,20 +208,14 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             partitioner_ladder=ladder, strict=args.strict,
             max_iter=args.max_iter,
         )
-        models = []
-        for rank, path in enumerate(files):
-            points = _load_rank_points(path, rank)
-            models.append(policy.fit_model(points, rank=rank,
-                                           primary=args.model))
+        models = [
+            policy.fit_model(points, rank=rank, primary=args.model)
+            for rank, points in enumerate(rank_points)
+        ]
         algorithm = policy.partition_function()
         degradation = policy.report
     else:
-        factory = model_factory(args.model)
-        models = []
-        for rank, path in enumerate(files):
-            model = factory()
-            model.update_many(_load_rank_points(path, rank))
-            models.append(model)
+        models = fit_models(rank_points, args.model)
         algorithm = partitioner(args.algorithm)
         if args.max_iter is not None:
             import functools
@@ -284,6 +255,53 @@ class _GracefulShutdown(Exception):
         self.signum = signum
 
 
+@contextlib.contextmanager
+def _shutdown_on_signals():
+    """Turn SIGTERM and SIGINT into :class:`_GracefulShutdown` inside the block.
+
+    Signal handlers can only live in the main thread (tests drive the
+    serve command from worker threads, where installation is skipped).
+    """
+    import signal
+
+    previous_handlers = {}
+    if threading.current_thread() is threading.main_thread():
+        def _on_signal(signum, frame):
+            raise _GracefulShutdown(signum)
+
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            previous_handlers[sig] = signal.signal(sig, _on_signal)
+    try:
+        yield
+    finally:
+        for sig, handler in previous_handlers.items():
+            signal.signal(sig, handler)
+
+
+def _fleet_from_args(args: argparse.Namespace):
+    """The unstarted :class:`~repro.serve.PlanFleet` ``--workers N`` runs.
+
+    Every stack flag reaches the workers through one loop over the flag
+    table; the fleet itself passes each worker its ``--points``, its own
+    ``--cache-file`` inside the ``--cache-file`` directory and
+    ``--replicas``.
+    """
+    from repro.serve import PlanFleet
+
+    return PlanFleet(
+        args.points,
+        workers=args.workers,
+        routing=args.routing,
+        cache_dir=args.cache_file,
+        host=args.host,
+        port=args.port,
+        worker_args=stack_argv(
+            args, skip=("--points", "--cache-file", "--replicas")
+        ),
+        replicas=args.replicas,
+    )
+
+
 def _serve_fleet(args: argparse.Namespace) -> int:
     """The ``fupermod serve --workers N`` (N >= 2) path: a sharded fleet.
 
@@ -293,76 +311,24 @@ def _serve_fleet(args: argparse.Namespace) -> int:
     by functional performance models of the workers themselves
     (``--routing fpm``) or plain rotation (``--routing round-robin``).
     """
-    import signal
-    import threading
-
-    from repro.serve import PlanFleet
-
     if not args.http:
         raise FuPerModError(
             "a multi-worker fleet serves over HTTP; add --http "
             "(stdio cannot be multiplexed across worker processes)"
         )
-    worker_args = ["--cache-size", str(args.cache_size),
-                   "--compact-every", str(args.compact_every)]
-    if args.ttl is not None:
-        worker_args += ["--ttl", str(args.ttl)]
-    if args.no_warm:
-        worker_args += ["--no-warm"]
-    if args.degrade:
-        worker_args += ["--degrade"]
-    if args.no_breaker:
-        worker_args += ["--no-breaker"]
-    worker_args += ["--breaker-cooldown", str(args.breaker_cooldown)]
-    if args.max_pending is not None:
-        worker_args += ["--max-pending", str(args.max_pending)]
-    if args.deadline is not None:
-        worker_args += ["--deadline", str(args.deadline)]
-    if args.no_feedback:
-        worker_args += ["--no-feedback"]
-    worker_args += ["--refit-every", str(args.refit_every),
-                    "--feedback-k", str(args.feedback_k),
-                    "--feedback-strikes", str(args.feedback_strikes)]
-    if args.feedback_rate is not None:
-        worker_args += ["--feedback-rate", str(args.feedback_rate)]
-    if args.power is not None:
-        worker_args += ["--power", str(args.power)]
-    fleet = PlanFleet(
-        args.points,
-        workers=args.workers,
-        model=args.model,
-        algorithm=args.algorithm,
-        routing=args.routing,
-        cache_dir=args.cache_file,
-        worker_threads=args.threads,
-        host=args.host,
-        port=args.port,
-        worker_args=worker_args,
-        replicas=args.replicas,
-        durability_budget=(
-            None if args.no_durability_degrade else args.durability_budget
-        ),
-    )
-    previous_handlers = {}
-    if threading.current_thread() is threading.main_thread():
-        def _on_signal(signum, frame):
-            raise _GracefulShutdown(signum)
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            previous_handlers[sig] = signal.signal(sig, _on_signal)
-    stop = threading.Event()
+    fleet = _fleet_from_args(args)
     try:
-        fleet.start()
-        print(f"serving plans over {fleet.url} "
-              f"({args.workers} worker shards, {args.routing} balancing); "
-              f"Ctrl-C to stop", file=sys.stderr)
-        stop.wait()
+        with _shutdown_on_signals():
+            fleet.start()
+            print(f"serving plans over {fleet.url} "
+                  f"({args.workers} worker shards, {args.routing} balancing); "
+                  f"Ctrl-C to stop", file=sys.stderr)
+            threading.Event().wait()
     except (KeyboardInterrupt, _GracefulShutdown):
         print("shutdown requested; stopping fleet", file=sys.stderr)
     finally:
-        for sig, handler in previous_handlers.items():
-            signal.signal(sig, handler)
-        fleet.stop()
+        # Each worker drains for up to --drain-timeout before compacting.
+        fleet.stop(timeout=args.drain_timeout + 5.0)
     return 0
 
 
@@ -382,167 +348,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from ``snapshot + WAL replay`` -- at most the one plan whose journal
     append was interrupted is lost.
     """
-    import signal
-    import threading
-
-    from repro.serve import DurablePlanCache, PlanCache, PlanEngine, PlanServer
     from repro.serve.aio import AioFrontend
     from repro.serve.frontend import serve_stdio
 
     if args.workers > 1:
         return _serve_fleet(args)
 
-    files = _point_files(Path(args.points))
-    factory = model_factory(args.model)
-    models = []
-    for rank, path in enumerate(files):
-        model = factory()
-        model.update_many(_load_rank_points(path, rank))
-        models.append(model)
-    cache_file = Path(args.cache_file) if args.cache_file else None
-    durable = cache_file is not None and not args.no_wal
-    if durable:
-        def _log_transition(mode: str, reason: str) -> None:
-            # One warning line per durability-mode transition -- the
-            # operator-facing trace of the degradation ladder.
-            print(f"warning: plan cache durability {mode}: {reason}",
-                  file=sys.stderr)
-
-        cache: PlanCache = DurablePlanCache(
-            cache_file,
-            compact_every=args.compact_every,
-            capacity=args.cache_size,
-            ttl=args.ttl,
-            durability_budget=(
-                None if args.no_durability_degrade
-                else args.durability_budget
-            ),
-            on_transition=_log_transition,
-        )
-        snapshot_entries, wal_ops = cache.recover()
-        if snapshot_entries or wal_ops:
-            print(f"recovered {snapshot_entries} plan(s) from snapshot + "
-                  f"{wal_ops} journaled op(s) from {cache_file}",
-                  file=sys.stderr)
-    else:
-        cache = PlanCache(capacity=args.cache_size, ttl=args.ttl)
-        if cache_file is not None and cache_file.exists():
-            from repro.io.plans import load_plan_cache
-
-            loaded = load_plan_cache(cache_file, cache)
-            print(f"loaded {loaded} cached plan(s) from {cache_file}",
-                  file=sys.stderr)
-    policy = None
-    if args.degrade:
-        from repro.degrade import DegradationPolicy
-
-        policy = DegradationPolicy()
-    breakers = None
-    if not args.no_breaker:
-        from repro.serve import BreakerBoard
-
-        breakers = BreakerBoard(cooldown=args.breaker_cooldown)
-    engine = PlanEngine(
-        cache=cache, policy=policy, partitioner=args.algorithm,
-        warm=not args.no_warm, breakers=breakers,
-    )
-    server = PlanServer(
-        models, engine=engine, max_workers=args.threads,
-        max_pending=args.max_pending, default_deadline=args.deadline,
-    )
-    if args.power is not None:
-        from repro.serve.worker import load_energy_model_set
-
-        server.attach_energy(load_energy_model_set(
-            Path(args.points), Path(args.power), args.model))
-        print(f"bi-objective plans enabled: {len(server.energy_models)} "
-              f"energy model(s) fitted from {args.power}", file=sys.stderr)
-
-    lineage = None
-    if not args.no_feedback:
-        from repro.serve import FeedbackController, FeedbackQuarantine, ModelLineage
-
-        # The lineage journal sits beside the cache WAL so models and
-        # the plans computed from them crash-recover together.
-        lineage_path = str(cache_file) + ".lineage" if durable else None
-        lineage = ModelLineage(models, wal_path=lineage_path)
-        replayed = lineage.recover()
-        if replayed:
-            print(f"replayed {replayed} lineage op(s); serving model "
-                  f"epoch {lineage.epoch}", file=sys.stderr)
-        server.models = lineage.models
-        server.attach_feedback(FeedbackController(
-            server, lineage,
-            quarantine=FeedbackQuarantine(
-                k=args.feedback_k,
-                max_strikes=args.feedback_strikes,
-                rate_limit=args.feedback_rate,
-            ),
-            refit_every=args.refit_every,
-        ))
-
-    # Signal handlers can only live in the main thread (tests drive this
-    # command from worker threads, where installation must be skipped).
-    previous_handlers = {}
-    if threading.current_thread() is threading.main_thread():
-        def _on_signal(signum, frame):
-            raise _GracefulShutdown(signum)
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            previous_handlers[sig] = signal.signal(sig, _on_signal)
-
-    exit_code = 0
+    stack = build_stack(args)
     try:
-        if args.http:
-            frontend = AioFrontend(server, args.host, args.port)
-            frontend.start()
-            print(f"serving plans over {frontend.url} "
-                  f"(asyncio; POST /plan, GET /stats, GET /metrics); "
-                  f"Ctrl-C to stop", file=sys.stderr)
-            try:
-                threading.Event().wait()
-            except (KeyboardInterrupt, _GracefulShutdown):
-                print("shutdown requested; draining", file=sys.stderr)
-            finally:
-                frontend.stop()
-        else:
-            print(f"serving plans for {len(models)} rank(s) over stdio; "
-                  "one JSON request per line", file=sys.stderr)
-            try:
-                served = serve_stdio(server, sys.stdin, sys.stdout)
+        with _shutdown_on_signals():
+            if args.http:
+                frontend = AioFrontend(stack.server, args.host, args.port)
+                frontend.start()
+                try:
+                    print(f"serving plans over {frontend.url} "
+                          f"(asyncio; POST /plan, GET /stats, GET /metrics); "
+                          f"Ctrl-C to stop", file=sys.stderr)
+                    threading.Event().wait()
+                finally:
+                    frontend.stop()
+            else:
+                print(f"serving plans for {len(stack.server.models)} "
+                      "rank(s) over stdio; one JSON request per line",
+                      file=sys.stderr)
+                served = serve_stdio(stack.server, sys.stdin, sys.stdout)
                 print(f"served {served} request(s)", file=sys.stderr)
-            except (KeyboardInterrupt, _GracefulShutdown):
-                print("shutdown requested; draining", file=sys.stderr)
+    except (KeyboardInterrupt, _GracefulShutdown):
+        print("shutdown requested; draining", file=sys.stderr)
     finally:
-        for sig, handler in previous_handlers.items():
-            signal.signal(sig, handler)
-        drained = server.drain(timeout=args.drain_timeout)
-        if not drained:
-            print(f"warning: in-flight computations still running after "
-                  f"{args.drain_timeout:.3g}s drain window", file=sys.stderr)
-        server.close()
-        if lineage is not None:
-            lineage.close()
-        if durable:
-            cache.close()
-            print(f"compacted {len(cache)} cached plan(s) to {cache_file}",
-                  file=sys.stderr)
-        elif cache_file is not None:
-            from repro.io.plans import save_plan_cache
-
-            saved = save_plan_cache(cache_file, cache)
-            print(f"persisted {saved} cached plan(s) to {cache_file}",
-                  file=sys.stderr)
-        stats = server.stats()
-        print(f"cache: {stats['cache']['hits']} hit(s), "
-              f"{stats['cache']['misses']} miss(es); "
-              f"serve: {stats['serve']['computations']} computation(s), "
-              f"{stats['serve']['coalesced']} coalesced, "
-              f"{stats['serve']['warm_starts']} warm-started, "
-              f"{stats['serve']['shed']} shed, "
-              f"{stats['serve']['short_circuits']} short-circuited",
-              file=sys.stderr)
-    return exit_code
+        stack.close()
+    return 0
 
 
 def _cmd_demo_jacobi(args: argparse.Namespace) -> int:
@@ -831,106 +666,17 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve partition plans from saved point files (stdio or HTTP)",
     )
-    p_srv.add_argument("--points", required=True,
-                       help="directory of rank*.points files from 'build'")
-    p_srv.add_argument("--model", default="piecewise")
-    p_srv.add_argument("--power", default=None,
-                       help="per-rank power-profile JSON (see repro.platform."
-                            "power); fits energy models alongside the speed "
-                            "models and enables bi-objective (pareto) plans")
-    p_srv.add_argument("--algorithm", default="geometric",
-                       help="default partitioner for requests that name none")
-    p_srv.add_argument("--cache-size", type=int, default=128,
-                       dest="cache_size", help="plan cache capacity (entries)")
-    p_srv.add_argument("--ttl", type=float, default=None,
-                       help="plan time-to-live in seconds (default: no expiry)")
-    p_srv.add_argument("--cache-file", default=None, dest="cache_file",
-                       help="snapshot file for the plan cache: recovered from "
-                            "(snapshot + write-ahead journal) at startup and "
-                            "compacted to on shutdown; with --workers N >= 2 "
-                            "this is a directory of per-shard caches")
-    p_srv.add_argument("--no-wal", action="store_true", dest="no_wal",
-                       help="disable the write-ahead journal (cache persists "
-                            "only at clean shutdown, as before hardening)")
-    p_srv.add_argument("--compact-every", type=int, default=256,
-                       dest="compact_every",
-                       help="journaled operations between automatic snapshot "
-                            "compactions")
-    p_srv.add_argument("--durability-budget", type=int, default=3,
-                       dest="durability_budget",
-                       help="consecutive journal-append failures tolerated "
-                            "before the durable cache degrades to memory-only "
-                            "mode (plans keep serving, acks carry "
-                            "'durable': false, a background probe re-syncs "
-                            "the disk when it heals)")
-    p_srv.add_argument("--no-durability-degrade", action="store_true",
-                       dest="no_durability_degrade",
-                       help="disable the durability degradation ladder: "
-                            "journal failures surface as request errors, the "
-                            "pre-hardening behaviour")
-    p_srv.add_argument("--no-warm", action="store_true", dest="no_warm",
-                       help="disable warm-started solves from nearby plans")
-    p_srv.add_argument("--degrade", action="store_true",
-                       help="fall back down the partitioner ladder instead of "
-                            "failing a request")
+    add_stack_flags(p_srv)
     p_srv.add_argument("--workers", type=int, default=1,
                        help="worker processes (shards); 1 serves in-process, "
                             ">= 2 runs a sharded fleet behind a "
                             "consistent-hashing router (requires --http)")
-    p_srv.add_argument("--threads", type=int, default=4,
-                       help="solver threads per worker for concurrent "
-                            "computations")
     p_srv.add_argument("--routing", choices=["fpm", "round-robin"],
                        default="fpm",
                        help="fleet balancing for non-affinitised requests: "
                             "'fpm' partitions the stream over functional "
                             "performance models of the workers; "
                             "'round-robin' rotates")
-    p_srv.add_argument("--replicas", type=int, default=2,
-                       help="plan replica-set size including the home shard "
-                            "(fleet mode): committed plans replicate to "
-                            "ring successors so a killed shard's plans keep "
-                            "serving; 1 disables replication")
-    p_srv.add_argument("--max-pending", type=int, default=None,
-                       dest="max_pending",
-                       help="admission cap: shed new requests (HTTP 503) once "
-                            "this many computations are in flight "
-                            "(default: unbounded)")
-    p_srv.add_argument("--deadline", type=float, default=None,
-                       help="default per-request deadline in seconds; expiry "
-                            "answers HTTP 504 (default: wait forever)")
-    p_srv.add_argument("--no-breaker", action="store_true", dest="no_breaker",
-                       help="disable the per-model-set circuit breakers")
-    p_srv.add_argument("--breaker-cooldown", type=float, default=30.0,
-                       dest="breaker_cooldown",
-                       help="seconds an open circuit breaker waits before "
-                            "admitting a trial request")
-    p_srv.add_argument("--no-feedback", action="store_true",
-                       dest="no_feedback",
-                       help="serve without the closed-loop feedback path "
-                            "(POST /feedback answers 400)")
-    p_srv.add_argument("--refit-every", type=int, default=16,
-                       dest="refit_every",
-                       help="accepted feedback reports buffered between "
-                            "model refits")
-    p_srv.add_argument("--feedback-k", type=float, default=8.0,
-                       dest="feedback_k",
-                       help="outlier ratio bound of the feedback quarantine: "
-                            "a reported time outside [pred/k, k*pred] is "
-                            "rejected")
-    p_srv.add_argument("--feedback-strikes", type=int, default=3,
-                       dest="feedback_strikes",
-                       help="consecutive rejected reports before a source is "
-                            "quarantined (403)")
-    p_srv.add_argument("--feedback-rate", type=int, default=None,
-                       dest="feedback_rate",
-                       help="max feedback reports per source per minute; "
-                            "over-rate answers 429 with Retry-After "
-                            "(default: unlimited)")
-    p_srv.add_argument("--drain-timeout", type=float, default=10.0,
-                       dest="drain_timeout",
-                       help="seconds to wait for in-flight computations at "
-                            "shutdown")
     p_srv.add_argument("--http", action="store_true",
                        help="serve over HTTP (asyncio front end with an "
                             "inline cache-hit fast lane) instead of "

@@ -107,30 +107,25 @@ class PlanFleet:
     Args:
         points: ``build`` output directory the workers load models from.
         workers: number of worker processes (shards).
-        model / algorithm: model family and default partitioner per shard.
         routing: balanced-routing policy, ``"fpm"`` or ``"round-robin"``.
         cache_dir: directory for the per-shard WAL-backed caches
             (``<shard>.plans``); ``None`` disables durability.
         slowdowns_ms: per-worker simulated service time in milliseconds
             (cycled if shorter than ``workers``); models a heterogeneous
             fleet on a homogeneous host.  0 disables.
-        worker_threads: solver threads per worker.
         probe: measure each worker's hit-path service rate at startup
             and seed the balancer's performance models from it.
         probe_total: the problem size the probe plans (kept distinct
             from real traffic so probes stay cache-warm).
         host / port: router bind address (port 0 = ephemeral).
         startup_timeout: seconds allowed for each worker to become ready.
-        worker_args: extra argv appended to every worker command line.
+        worker_args: extra argv appended to every worker command line:
+            the stack flags of :mod:`repro.serve.stack` (``--model``,
+            ``--threads``, ``--durability-budget``, ...), which default
+            to ``fupermod serve``'s values.
         replicas: plan replica-set size including the home shard
             (passed to every worker as ``--replicas``; 1 disables
             replication -- the pre-replication fleet).
-        durability_budget: consecutive journal-append failures each
-            worker tolerates before its durable cache trips to
-            memory-only mode (forwarded as ``--durability-budget``);
-            ``None`` forwards ``--no-durability-degrade`` so disk
-            errors surface as request failures, the historical
-            behaviour.
         disk_fault_plan: path to a serialized
             :class:`~repro.faults.disk.DiskFaultPlan` spliced into every
             worker's journals (forwarded as ``--disk-fault-plan``); the
@@ -143,12 +138,9 @@ class PlanFleet:
         self,
         points: PathLike,
         workers: int = 2,
-        model: str = "piecewise",
-        algorithm: str = "geometric",
         routing: str = "fpm",
         cache_dir: Optional[PathLike] = None,
         slowdowns_ms: Optional[Sequence[float]] = None,
-        worker_threads: int = 4,
         probe: bool = True,
         probe_total: int = 654_321,
         host: str = "127.0.0.1",
@@ -156,17 +148,13 @@ class PlanFleet:
         startup_timeout: float = 30.0,
         worker_args: Optional[Sequence[str]] = None,
         replicas: int = 2,
-        durability_budget: Optional[int] = 3,
         disk_fault_plan: Optional[PathLike] = None,
     ) -> None:
         if workers <= 0:
             raise FuPerModError(f"a fleet needs at least one worker, got {workers}")
         self.points = Path(points)
-        self.model = model
-        self.algorithm = algorithm
         self.probe = probe
         self.probe_total = probe_total
-        self.worker_threads = worker_threads
         self.startup_timeout = startup_timeout
         self.worker_args = list(worker_args or [])
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -188,11 +176,6 @@ class PlanFleet:
                 f"replica set size must be positive, got {replicas}"
             )
         self.replicas = replicas
-        if durability_budget is not None and durability_budget <= 0:
-            raise FuPerModError(
-                f"durability budget must be positive, got {durability_budget}"
-            )
-        self.durability_budget = durability_budget
         self.disk_fault_plan = (
             Path(disk_fault_plan) if disk_fault_plan is not None else None
         )
@@ -209,21 +192,14 @@ class PlanFleet:
         cmd = [
             sys.executable, "-m", "repro.serve.worker",
             "--points", str(self.points),
-            "--model", self.model,
-            "--algorithm", self.algorithm,
             "--shard-id", shard.shard_id,
             "--port", "0",
-            "--threads", str(self.worker_threads),
+            "--replicas", str(self.replicas),
         ]
         if shard.cache_file is not None:
             cmd += ["--cache-file", str(shard.cache_file)]
         if shard.slowdown_ms > 0.0:
             cmd += ["--slowdown", str(shard.slowdown_ms)]
-        cmd += ["--replicas", str(self.replicas)]
-        if self.durability_budget is None:
-            cmd += ["--no-durability-degrade"]
-        else:
-            cmd += ["--durability-budget", str(self.durability_budget)]
         if self.disk_fault_plan is not None:
             cmd += ["--disk-fault-plan", str(self.disk_fault_plan)]
         cmd += self.worker_args

@@ -168,6 +168,21 @@ class PlanServer:
             energy_models=self.energy_models if kind != "time" else None,
         )
 
+    def _cached(self, request: PlanRequest) -> Optional[PlanResult]:
+        """The cached plan for ``request``, counted as a hit, or None.
+
+        Peek first, so a miss is not counted here: the engine path that
+        serves the miss counts it exactly once.
+        """
+        cache = self.engine.cache
+        if cache.peek(request.key) is None:
+            return None
+        hit = cache.get(request.key)
+        if hit is None:
+            return None
+        self._count_plan(hit.kind)
+        return hit.replace(cached=True)
+
     def try_cached(
         self,
         total: int,
@@ -187,38 +202,25 @@ class PlanServer:
         """
         if kind != "time" and self.energy_models is None:
             return None  # the slow path owns the typed 400
-        request = self._make_request(total, partitioner, options, kind, objective)
-        hit = self.engine.cache.peek(request.key)
-        if hit is None:
-            return None
-        # Count the hit the same way the engine's get() path would.
-        hit = self.engine.cache.get(request.key)
-        if hit is None:
-            return None
-        self._count_plan(hit.kind)
-        return hit.replace(cached=True)
+        return self._cached(
+            self._make_request(total, partitioner, options, kind, objective)
+        )
 
-    def submit(
-        self,
-        total: int,
-        partitioner: Optional[str] = None,
-        options: Optional[Mapping[str, Any]] = None,
-        kind: str = "time",
-        objective: Optional[Mapping[str, Any]] = None,
-    ) -> "Future[PlanResult]":
-        """Queue one request, returning its future.
+    def _serve(
+        self, request: PlanRequest
+    ) -> Union[PlanResult, "Future[PlanResult]"]:
+        """A cached plan at once, else the future of its computation.
 
-        Single-flight: if an identical request (same content key) is
-        already in flight, its future is returned and no new work starts;
-        the duplicate is counted in ``counters.coalesced``.
-
-        Raises:
-            ServiceOverloadError: when ``max_pending`` distinct
-                computations are already in flight and this request would
-                start another (counted in ``counters.shed``).
-            RuntimeError: when the server has been closed.
+        Hits are served on the calling thread, before admission control
+        and the pool: only a request that starts a *new* computation can
+        be shed, and a hit never waits behind busy workers.  Raises as
+        :meth:`submit` does.
         """
-        request = self._make_request(total, partitioner, options, kind, objective)
+        if self._closed:
+            raise RuntimeError("plan server is closed")
+        hit = self._cached(request)
+        if hit is not None:
+            return hit
         with self._lock:
             if self._closed:
                 raise RuntimeError("plan server is closed")
@@ -238,6 +240,36 @@ class PlanServer:
             future = self._pool.submit(self._run, request)
             self._inflight[request.key] = future
             return future
+
+    def submit(
+        self,
+        total: int,
+        partitioner: Optional[str] = None,
+        options: Optional[Mapping[str, Any]] = None,
+        kind: str = "time",
+        objective: Optional[Mapping[str, Any]] = None,
+    ) -> "Future[PlanResult]":
+        """Queue one request, returning its future.
+
+        A cached plan comes back as an already-completed future.
+        Single-flight: if an identical request (same content key) is
+        already in flight, its future is returned and no new work starts;
+        the duplicate is counted in ``counters.coalesced``.
+
+        Raises:
+            ServiceOverloadError: when ``max_pending`` distinct
+                computations are already in flight and this request would
+                start another (counted in ``counters.shed``).
+            RuntimeError: when the server has been closed.
+        """
+        served = self._serve(
+            self._make_request(total, partitioner, options, kind, objective)
+        )
+        if isinstance(served, PlanResult):
+            done: "Future[PlanResult]" = Future()
+            done.set_result(served)
+            return done
+        return served
 
     def _run(self, request: PlanRequest) -> PlanResult:
         """Worker body: serve the request, then retire it from in-flight."""
@@ -262,6 +294,9 @@ class PlanServer:
     ) -> PlanResult:
         """Serve one request, blocking until the plan is ready.
 
+        A cached plan is returned on the calling thread, whatever the
+        pool and admission queue are doing.
+
         Args:
             deadline: seconds to wait (or a prepared
                 :class:`~repro.degrade.watchdog.Deadline`); falls back to
@@ -283,11 +318,15 @@ class PlanServer:
             deadline = self.default_deadline
         if deadline is not None and not isinstance(deadline, Deadline):
             deadline = Deadline(float(deadline), stage="serve:request")
-        future = self.submit(total, partitioner, options, kind, objective)
+        served = self._serve(
+            self._make_request(total, partitioner, options, kind, objective)
+        )
+        if isinstance(served, PlanResult):
+            return served
         if deadline is None:
-            return future.result()
+            return served.result()
         try:
-            return future.result(timeout=deadline.remaining)
+            return served.result(timeout=deadline.remaining)
         except FutureTimeoutError:
             self.engine.counters.deadline_expired += 1
             raise DeadlineExceeded(

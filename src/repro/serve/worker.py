@@ -1,7 +1,9 @@
 """One fleet shard: a worker process serving plans over the asyncio front end.
 
 Run as ``python -m repro.serve.worker`` (the fleet supervisor's child
-process).  Each worker owns the full single-node serving stack -- its own
+process).  Each worker owns the full single-node serving stack, built by
+:func:`~repro.serve.stack.build_stack` from the same stack flags, with
+the same defaults, as ``fupermod serve`` -- its own
 :class:`~repro.serve.engine.PlanEngine`,
 :class:`~repro.serve.wal.DurablePlanCache` with a **per-shard** WAL, and
 an :class:`~repro.serve.aio.AioFrontend` -- plus the fleet-internal
@@ -55,92 +57,18 @@ import signal
 import sys
 import threading
 import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.core.registry import model_factory
-from repro.errors import FuPerModError, PersistenceError
+from repro.errors import FuPerModError
 from repro.faults.net import NetChaos, NetFaultPlan, wrap_shard_client
 from repro.serve.aio import AioFrontend
-from repro.serve.cache import PlanCache
-from repro.serve.engine import PlanEngine
 from repro.serve.fingerprint import affinity_key
 from repro.serve.hashring import HashRing
 from repro.serve.plan import PlanRequest, PlanResult
-from repro.serve.replicate import DEFAULT_REPLICA_SET, PlanReplicator
+from repro.serve.replicate import PlanReplicator
 from repro.serve.server import PlanServer
 from repro.serve.shard import ShardClient
-from repro.serve.wal import DurablePlanCache
-
-
-def load_model_set(points_dir: Path, model: str = "piecewise") -> List[Any]:
-    """Fitted per-rank models from a ``build`` output directory.
-
-    The same loading path ``fupermod serve`` uses, factored out so the
-    supervisor and every worker construct identical model sets (and
-    therefore identical fingerprints -- the cache-identity invariant the
-    whole fleet hangs off).
-    """
-    from repro.io.files import load_points
-
-    files = sorted(Path(points_dir).glob("rank*.points"))
-    if not files:
-        raise FuPerModError(f"no rank*.points files in {points_dir}")
-    factory = model_factory(model)
-    models = []
-    for rank, path in enumerate(files):
-        try:
-            points, _meta = load_points(path)
-        except PersistenceError as exc:
-            raise FuPerModError(
-                f"cannot load points for rank {rank}: {exc}"
-            ) from exc
-        m = factory()
-        m.update_many(points)
-        models.append(m)
-    return models
-
-
-def load_energy_model_set(
-    points_dir: Path, power_path: Path, model: str = "piecewise"
-) -> List[Any]:
-    """Fitted per-rank *energy* models from points plus power profiles.
-
-    Each rank's measured timing points are priced in joules through its
-    :class:`~repro.platform.power.PowerProfile` (rank order in the JSON
-    file matches ``rank*.points`` order) and fitted with the energy
-    family matching the speed-model choice
-    (:func:`~repro.core.models.energy.energy_model_for`).  Used by both
-    ``fupermod serve --power`` and the fleet workers, so every shard
-    derives the identical energy fingerprint.
-    """
-    from repro.core.models.energy import energy_model_for
-    from repro.io.files import load_points
-    from repro.platform.power import energy_points_from_power, load_power_profiles
-
-    files = sorted(Path(points_dir).glob("rank*.points"))
-    if not files:
-        raise FuPerModError(f"no rank*.points files in {points_dir}")
-    profiles = load_power_profiles(power_path)
-    if len(profiles) != len(files):
-        raise FuPerModError(
-            f"{len(profiles)} power profiles in {power_path} for "
-            f"{len(files)} rank*.points files; they must pair up rank "
-            f"for rank"
-        )
-    family = energy_model_for(model)
-    energy_models = []
-    for rank, (path, profile) in enumerate(zip(files, profiles)):
-        try:
-            points, _meta = load_points(path)
-        except PersistenceError as exc:
-            raise FuPerModError(
-                f"cannot load points for rank {rank}: {exc}"
-            ) from exc
-        em = family()
-        em.update_many(energy_points_from_power(points, profile))
-        energy_models.append(em)
-    return energy_models
+from repro.serve.stack import add_stack_flags, build_stack
 
 
 class SiblingFill:
@@ -216,27 +144,6 @@ class SiblingFill:
         return None
 
 
-def purge_unverified(cache: PlanCache, lineage) -> int:
-    """Drop cached plans whose model fingerprint lineage cannot verify.
-
-    The plan WAL and the lineage journal are separate files with
-    separate torn tails: a crash can leave the cache holding plans
-    stamped with a model epoch the (shorter) recovered lineage never
-    reaches.  Serving such a plan would assert a provenance the lineage
-    chain cannot back, so on worker recovery every entry whose
-    ``models_fp`` is outside :meth:`ModelLineage.verified_fingerprints`
-    is invalidated -- the fleet's replicas (or a cold solve against the
-    recovered models) re-cover the key.  Returns how many were dropped.
-    """
-    verified = lineage.verified_fingerprints()
-    purged = 0
-    for item in cache.to_payload():
-        if str(item["models_fp"]) not in verified:
-            cache.invalidate(str(item["key"]))
-            purged += 1
-    return purged
-
-
 def _extra_routes(
     server: PlanServer,
     sibling: SiblingFill,
@@ -303,33 +210,18 @@ def _extra_routes(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The worker's argument parser (exposed for tests)."""
+    """The worker's argument parser (exposed for tests).
+
+    The stack flags and their defaults are ``fupermod serve``'s
+    (:data:`~repro.serve.stack.STACK_FLAGS`); the rest are the shard's.
+    """
     parser = argparse.ArgumentParser(
         prog="repro.serve.worker", description="one plan-fleet shard"
     )
-    parser.add_argument("--points", required=True)
-    parser.add_argument("--model", default="piecewise")
-    parser.add_argument("--algorithm", default="geometric")
-    parser.add_argument("--power", default=None,
-                        help="per-rank power-profile JSON; enables "
-                             "bi-objective (pareto) plans on this shard")
+    add_stack_flags(parser)
     parser.add_argument("--shard-id", default="shard0", dest="shard_id")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--cache-file", default=None, dest="cache_file")
-    parser.add_argument("--cache-size", type=int, default=512,
-                        dest="cache_size")
-    parser.add_argument("--ttl", type=float, default=None)
-    parser.add_argument("--compact-every", type=int, default=256,
-                        dest="compact_every")
-    parser.add_argument("--durability-budget", type=int, default=3,
-                        dest="durability_budget",
-                        help="consecutive journal-append failures before "
-                             "the cache degrades to memory-only mode")
-    parser.add_argument("--no-durability-degrade", action="store_true",
-                        dest="no_durability_degrade",
-                        help="fail plan requests on journal errors instead "
-                             "of degrading to memory-only mode")
     parser.add_argument("--probe-interval", type=float, default=1.0,
                         dest="probe_interval",
                         help="seconds between disk re-tests while degraded")
@@ -337,50 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="disk_fault_plan", metavar="JSON",
                         help="seeded DiskFaultPlan file spliced under this "
                              "shard's journals (the disk chaos seam)")
-    parser.add_argument("--threads", type=int, default=4,
-                        help="solver threads for this shard")
-    parser.add_argument("--max-pending", type=int, default=None,
-                        dest="max_pending")
-    parser.add_argument("--deadline", type=float, default=None)
-    parser.add_argument("--no-warm", action="store_true", dest="no_warm")
-    parser.add_argument("--no-breaker", action="store_true", dest="no_breaker")
-    parser.add_argument("--breaker-cooldown", type=float, default=30.0,
-                        dest="breaker_cooldown")
-    parser.add_argument("--degrade", action="store_true")
     parser.add_argument("--sibling-probes", type=int, default=2,
                         dest="sibling_probes",
                         help="peers asked per miss before solving cold")
-    parser.add_argument("--replicas", type=int,
-                        default=DEFAULT_REPLICA_SET,
-                        help="plan replica set size including the home "
-                             "shard (1 disables replication)")
     parser.add_argument("--slowdown", type=float, default=0.0, metavar="MS",
                         help="simulated per-request service time in "
                              "milliseconds (models a slower shard)")
-    parser.add_argument("--no-feedback", action="store_true",
-                        dest="no_feedback",
-                        help="serve without the closed-loop feedback path")
-    parser.add_argument("--refit-every", type=int, default=16,
-                        dest="refit_every",
-                        help="accepted feedback reports between refits")
-    parser.add_argument("--feedback-k", type=float, default=8.0,
-                        dest="feedback_k",
-                        help="outlier ratio bound of the feedback quarantine")
-    parser.add_argument("--feedback-strikes", type=int, default=3,
-                        dest="feedback_strikes",
-                        help="consecutive rejections before a source is "
-                             "quarantined")
-    parser.add_argument("--feedback-rate", type=int, default=None,
-                        dest="feedback_rate",
-                        help="max feedback reports per source per minute "
-                             "(default: unlimited)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Worker entry point: serve until SIGTERM/SIGINT."""
     args = build_parser().parse_args(argv)
-    models = load_model_set(Path(args.points), args.model)
 
     opener = None
     if args.disk_fault_plan is not None:
@@ -388,43 +248,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         opener = faulty_open(DiskFaultPlan.load(args.disk_fault_plan))
 
-    durable = args.cache_file is not None
-    if durable:
-        def log_transition(mode: str, reason: str) -> None:
-            # Exactly one line per durability-mode change (trip or
-            # heal) -- never one per failed append.
-            print(
-                f"shard {args.shard_id}: durability {mode}: {reason}",
-                file=sys.stderr, flush=True,
-            )
+    def log(line: str) -> None:
+        print(f"shard {args.shard_id}: {line}", file=sys.stderr, flush=True)
 
-        cache: PlanCache = DurablePlanCache(
-            args.cache_file, compact_every=args.compact_every,
-            capacity=args.cache_size, ttl=args.ttl,
-            durability_budget=(
-                None if args.no_durability_degrade
-                else args.durability_budget
-            ),
-            probe_interval=args.probe_interval,
-            opener=opener,
-            on_transition=log_transition,
-        )
-        snapshot_entries, wal_ops = cache.recover()
-        recovered = snapshot_entries + wal_ops
-    else:
-        cache = PlanCache(capacity=args.cache_size, ttl=args.ttl)
-        recovered = 0
-
-    policy = None
-    if args.degrade:
-        from repro.degrade import DegradationPolicy
-
-        policy = DegradationPolicy()
-    breakers = None
-    if not args.no_breaker:
-        from repro.serve.breaker import BreakerBoard
-
-        breakers = BreakerBoard(cooldown=args.breaker_cooldown)
+    stack = build_stack(
+        args, log=log, opener=opener, probe_interval=args.probe_interval
+    )
+    server, lineage = stack.server, stack.lineage
 
     # One fault controller covers every outbound link this worker owns
     # (sibling probes and replica pushes): the netsplit suite partitions
@@ -440,53 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.shard_id, max_probes=args.sibling_probes,
         client_factory=chaotic_client,
     )
-    engine = PlanEngine(
-        cache=cache, policy=policy, partitioner=args.algorithm,
-        warm=not args.no_warm, breakers=breakers, sibling_fill=sibling,
-    )
-    server = PlanServer(
-        models, engine=engine, max_workers=args.threads,
-        max_pending=args.max_pending, default_deadline=args.deadline,
-    )
-    if args.power is not None:
-        server.attach_energy(
-            load_energy_model_set(Path(args.points), Path(args.power), args.model)
-        )
-
-    lineage = None
-    if not args.no_feedback:
-        from repro.serve.feedback import FeedbackController, FeedbackQuarantine
-        from repro.serve.lineage import ModelLineage
-
-        # The lineage journal sits beside the cache WAL: models and the
-        # plans computed from them crash-recover as one coherent story.
-        lineage_path = (
-            str(args.cache_file) + ".lineage" if durable else None
-        )
-        lineage = ModelLineage(models, wal_path=lineage_path, opener=opener)
-        lineage.recover()
-        # Replay may have advanced past the snapshot's epoch: serve the
-        # recovered models, not the freshly loaded ones.
-        server.models = lineage.models
-        # The plan WAL and lineage journal tear independently: drop any
-        # recovered plan stamped with an epoch the lineage chain cannot
-        # verify (see purge_unverified).
-        purged = purge_unverified(cache, lineage)
-        if purged:
-            print(
-                f"shard {args.shard_id}: purged {purged} cached plan(s) "
-                "with unverifiable model fingerprints",
-                file=sys.stderr,
-            )
-        server.attach_feedback(FeedbackController(
-            server, lineage,
-            quarantine=FeedbackQuarantine(
-                k=args.feedback_k,
-                max_strikes=args.feedback_strikes,
-                rate_limit=args.feedback_rate,
-            ),
-            refit_every=args.refit_every,
-        ))
 
     # Replica placement: every freshly committed plan is pushed to its
     # ring successors off the request path; failed pushes become durable
@@ -496,13 +279,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if lineage is not None:
         epoch_source = lambda: (lineage.epoch, lineage.fingerprint)  # noqa: E731
     replicator = PlanReplicator(
-        args.shard_id, cache, replicas=args.replicas,
-        hint_path=(str(args.cache_file) + ".hints" if durable else None),
+        args.shard_id, stack.cache, replicas=args.replicas,
+        hint_path=(str(stack.cache_file) + ".hints" if stack.durable else None),
         client_factory=chaotic_client, epoch_source=epoch_source,
         opener=opener,
     )
     pending_hints = replicator.recover()
-    engine.on_commit = replicator.plan_committed
+    server.engine.sibling_fill = sibling
+    server.engine.on_commit = replicator.plan_committed
     server.replication = replicator.stats
 
     plan_hook = None
@@ -526,13 +310,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "host": args.host,
         "port": frontend.port,
         "url": frontend.url,
-        "recovered": recovered,
+        "recovered": stack.recovered,
         "epoch": lineage.epoch if lineage is not None else None,
         "replicas": args.replicas,
         "pending_hints": pending_hints,
         "energy": server.energy_models is not None,
         "durability": (
-            cache.durability_mode if durable else None  # type: ignore[union-attr]
+            stack.cache.durability_mode  # type: ignore[attr-defined]
+            if stack.durable else None
         ),
     }), flush=True)
 
@@ -547,13 +332,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     frontend.stop()
     replicator.close()
-    server.drain(timeout=10.0)
-    server.close()
-    if lineage is not None:
-        lineage.close()
-    if durable:
-        cache.close()
-    print(f"shard {args.shard_id}: clean shutdown", file=sys.stderr)
+    stack.close()
+    log("clean shutdown")
     return 0
 
 

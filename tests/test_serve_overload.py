@@ -111,6 +111,21 @@ class TestAdmissionControl:
                 future.result(timeout=10.0)
             assert server.engine.counters.shed == 0
 
+    def test_cached_plans_are_never_shed(self, gated_partitioner):
+        gate, started = gated_partitioner
+        with PlanServer(make_models(), max_pending=1) as server:
+            first = server.request(500)
+            blocked = server.submit(1000, partitioner="gated")
+            started.wait(timeout=10.0)
+            # The queue is full, but a hit starts no computation.
+            reply = handle_request(server, {"total": 500})
+            assert "error" not in reply, reply
+            assert reply["cached"] is True
+            assert reply["sizes"] == list(first.sizes)
+            assert server.engine.counters.shed == 0
+            gate.set()
+            blocked.result(timeout=10.0)
+
     def test_bad_configuration_rejected(self):
         with pytest.raises(ValueError):
             PlanServer(make_models(), max_pending=0)
@@ -149,6 +164,21 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceeded):
                 server.request(1000, partitioner="gated")
             gate.set()
+
+    def test_cached_plans_never_wait_for_busy_workers(
+        self, gated_partitioner
+    ):
+        gate, started = gated_partitioner
+        with PlanServer(make_models(), max_workers=1) as server:
+            first = server.request(500)
+            blocked = server.submit(1000, partitioner="gated")
+            started.wait(timeout=10.0)
+            # The only worker is busy; the hit is served on this thread.
+            hit = server.request(500, deadline=0.2)
+            assert hit.cached and hit.sizes == first.sizes
+            assert server.engine.counters.deadline_expired == 0
+            gate.set()
+            blocked.result(timeout=10.0)
 
     def test_fast_requests_unaffected_by_deadline(self):
         with PlanServer(make_models(), default_deadline=30.0) as server:

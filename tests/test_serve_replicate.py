@@ -45,7 +45,7 @@ from repro.serve import (
     affinity_key,
     entry_fingerprint,
 )
-from repro.serve.worker import purge_unverified
+from repro.serve.stack import purge_unverified
 
 pytestmark = [pytest.mark.serve, pytest.mark.fleet]
 
