@@ -8,7 +8,7 @@ Measures the two fast paths this repo's partitioners rely on:
   :func:`~repro.core.partition.geometric.partition_geometric` vs. a
   scalar reference implementation of the same algorithm (bisection on the
   level with one scalar inverse bisection per model per probe -- the
-  pre-vectorization seed code), at ``p`` in {4, 16, 64, 256};
+  pre-vectorization seed code), at ``p`` in {4, 16, 64, 256, 1024};
 * **Ladder overhead** -- the happy-path cost of routing the same
   partition through :class:`~repro.degrade.DegradationPolicy` (fallback
   bookkeeping, certificates) relative to calling the partitioner
@@ -27,8 +27,9 @@ or as an opt-in smoke test::
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from repro.core.partition.dist import Distribution, Part, round_preserving_sum
 from repro.core.partition.geometric import partition_geometric
 from repro.core.point import MeasurementPoint
 from repro.degrade import DegradationPolicy
-from repro.solver.bisect import bisect_monotone_inverse, bisect_root
+from repro.errors import SolverError
 
 from harness import best_time, fmt, print_table, rank_time_fn
 
@@ -62,7 +63,7 @@ MODEL_CLASSES = {
 }
 
 TOTAL = 1_000_000
-PARTITION_SIZES = (4, 16, 64, 256)
+PARTITION_SIZES = (4, 16, 64, 256, 1024)
 
 
 def build_models(cls, p: int, n_points: int = 24) -> List[PerformanceModel]:
@@ -78,6 +79,91 @@ def build_models(cls, p: int, n_points: int = 24) -> List[PerformanceModel]:
         m.is_ready  # resolve the lazy fit outside the timed region
         models.append(m)
     return models
+
+
+# -- scalar bisection, used only by the scalar reference below ------------
+
+
+def bisect_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> float:
+    """Find a root of ``f`` in ``[lo, hi]`` by bisection.
+
+    ``f(lo)`` and ``f(hi)`` must have opposite signs (either may be zero, in
+    which case that endpoint is returned).  The tolerance is on the bracket
+    width relative to the magnitude of the bracket endpoints.
+    """
+    if lo > hi:
+        lo, hi = hi, lo
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+        raise SolverError(
+            f"bisect_root: f({lo})={flo} and f({hi})={fhi} do not bracket a root"
+        )
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+        if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def bisect_monotone_inverse(
+    f: Callable[[float], float],
+    target: float,
+    lo: float,
+    hi: float,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+    expand: bool = True,
+) -> float:
+    """Solve ``f(x) = target`` for a non-decreasing function ``f``.
+
+    If ``expand`` is True and the initial bracket does not contain the
+    target, the upper (or lower) bound is geometrically expanded up to 64
+    times before giving up.  Returns the ``x`` achieving the target within
+    tolerance; if the target lies below ``f(lo)`` after expansion, ``lo`` is
+    returned (the smallest admissible argument), mirroring how partitioners
+    clamp allocations at zero.
+    """
+    if lo > hi:
+        raise SolverError(f"bisect_monotone_inverse: empty bracket [{lo}, {hi}]")
+    flo = f(lo)
+    fhi = f(hi)
+    if expand:
+        attempts = 0
+        span = max(hi - lo, 1.0)
+        while fhi < target and attempts < 64:
+            span *= 2.0
+            hi = hi + span
+            fhi = f(hi)
+            attempts += 1
+        attempts = 0
+        while flo > target and lo > 0.0 and attempts < 64:
+            lo = max(0.0, lo - span)
+            span *= 2.0
+            flo = f(lo)
+            attempts += 1
+    if flo >= target:
+        return lo
+    if fhi <= target:
+        return hi
+    return bisect_root(lambda x: f(x) - target, lo, hi, tol=tol, max_iter=max_iter)
 
 
 def scalar_reference_partition(

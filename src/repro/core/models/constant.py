@@ -65,6 +65,12 @@ class ConstantModel(PerformanceModel):
         self._require_ready()
         return self._speed
 
+    def level_knots(self) -> tuple:
+        """One knot at the constant speed: a one-row piecewise ``LevelTable``."""
+        self._require_ready()
+        speed = np.asarray([self._speed])
+        return (np.ones(1), speed, speed, 1.0, 1.0)
+
     def fingerprint_state(self) -> tuple:
         """Fitted state is the single pooled speed constant."""
         self._require_ready()

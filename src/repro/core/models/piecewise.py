@@ -18,14 +18,14 @@ converge.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
 from repro.errors import ModelError
 from repro.interp.coarsening import coarsen_to_fpm_shape
-from repro.interp.piecewise_linear import PiecewiseLinear
+from repro.interp.piecewise_linear import PiecewiseLinear, upper_bound
 
 
 class PiecewiseModel(PerformanceModel):
@@ -38,7 +38,7 @@ class PiecewiseModel(PerformanceModel):
         self._speed_interp: PiecewiseLinear | None = None
         self._x_min: float = 0.0
         self._x_max: float = 0.0
-        self._knot_times: Optional[np.ndarray] = None
+        self._knots: Optional[tuple] = None
 
     def _rebuild(self) -> None:
         speed_points: List[Tuple[float, float]] = [
@@ -48,7 +48,7 @@ class PiecewiseModel(PerformanceModel):
         self._speed_interp = PiecewiseLinear(coarsened, min_y=1e-12)
         self._x_min = coarsened[0][0]
         self._x_max = coarsened[-1][0]
-        self._knot_times = None  # inversion cache, filled on demand
+        self._knots = None  # level_knots() cache, filled on demand
 
     @property
     def coarsened_speed_points(self) -> "tuple[Tuple[float, float], ...]":
@@ -94,16 +94,20 @@ class PiecewiseModel(PerformanceModel):
         speeds = np.maximum(self._speed_interp.evaluate_batch(x_eval), 1e-12)
         return np.where(xs == 0.0, 0.0, xs / speeds)
 
-    def _inversion_tables(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Cached ``(knot_xs, knot_speeds, knot_times)`` of the speed knots."""
+    def level_knots(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray, float, float]":
+        """``(knot_xs, knot_speeds, raw_ys, x_min, x_max)`` for a :class:`LevelTable`.
+
+        ``knot_speeds`` are the interpolated speeds clamped at ``1e-12``
+        (what :meth:`speed` returns at the knots); ``raw_ys`` are the
+        interpolant's own ordinates.  Cached until the next refit.
+        """
+        self._require_ready()
         assert self._speed_interp is not None
-        if self._knot_times is None:
+        if self._knots is None:
             xk = np.asarray(self._speed_interp.xs, dtype=float)
-            sk = np.maximum(np.asarray(self._speed_interp.ys, dtype=float), 1e-12)
-            self._knot_xs = xk
-            self._knot_speeds = sk
-            self._knot_times = xk / sk
-        return self._knot_xs, self._knot_speeds, self._knot_times
+            ys = np.asarray(self._speed_interp.ys, dtype=float)
+            self._knots = (xk, np.maximum(ys, 1e-12), ys, self._x_min, self._x_max)
+        return self._knots
 
     def allocation_batch(
         self,
@@ -113,41 +117,95 @@ class PiecewiseModel(PerformanceModel):
         hi: Optional[np.ndarray] = None,
         tol: float = 1e-9,
     ) -> np.ndarray:
-        """Closed-form inversion of the coarsened piecewise time function.
+        """Closed-form inversion: the one-row call of :class:`LevelTable`."""
+        return LevelTable([self.level_knots()]).allocations(levels, cap)[0]
 
-        The speed is linear on each knot interval, so ``t(x) = T`` solves
-        to ``x = T (s_k - m_k x_k) / (1 - T m_k)`` within the interval, and
-        to ``x = T s`` in the constant-speed extensions.  The FPM shape
-        restriction makes the knot times strictly increasing, so interval
-        lookup is one ``searchsorted``.
+
+class LevelTable:
+    """Piecewise-linear speed functions of several models, stacked.
+
+    Row ``i`` holds model ``i``'s speed knots, padded to the widest row,
+    so one numpy call evaluates or inverts every row at once, bit for bit
+    as the row's own model would:
+
+    * :meth:`times` is :meth:`PiecewiseModel.time` (and ``time_batch``);
+    * :meth:`allocations` is :meth:`PiecewiseModel.allocation_batch`.
+
+    A one-knot row is a constant speed, which is how
+    :class:`~repro.core.models.constant.ConstantModel` stacks.
+
+    The inversion is closed-form: the speed is linear on each knot
+    interval, so ``t(x) = T`` solves to ``x = T (s_k - m_k x_k) /
+    (1 - T m_k)`` within the interval, and to ``x = T s`` in the
+    constant-speed extensions.  The FPM shape restriction makes the knot
+    times strictly increasing, so the interval is one upper-bound search
+    over the knot times.
+    """
+
+    def __init__(
+        self, knots: "Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]"
+    ) -> None:
+        """Stack ``level_knots()`` tuples, one per row."""
+        p = len(knots)
+        n = np.fromiter((k[0].size for k in knots), dtype=np.intp, count=p)
+        # One padding column at least, so every row has an interval slot.
+        width = int(n.max()) + 1
+        rows = np.repeat(np.arange(p), n)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(n) - n, n)
+
+        def padded(field: int, fill: float) -> np.ndarray:
+            out = np.full((p, width), fill)
+            out[rows, cols] = np.concatenate([k[field] for k in knots])
+            return out
+
+        xk = padded(0, np.inf)
+        sk = padded(1, 1.0)
+        ys = padded(2, 0.0)
+        with np.errstate(invalid="ignore"):
+            dx = xk[:, 1:] - xk[:, :-1]
+            self.mk = (sk[:, 1:] - sk[:, :-1]) / dx
+            self.bk = sk[:, :-1] - self.mk * xk[:, :-1]
+            self.slopes = (ys[:, 1:] - ys[:, :-1]) / dx
+        self.n = n
+        self.xk, self.sk, self.ys = xk, sk, ys
+        self.tk = xk / sk  # padding stays +inf
+        self.s_last = sk[np.arange(p), n - 1]
+        self.x_min = np.fromiter((k[3] for k in knots), dtype=float, count=p)
+        self.x_max = np.fromiter((k[4] for k in knots), dtype=float, count=p)
+
+    def allocations(self, levels, cap: float) -> np.ndarray:
+        """Every row's size at every time level, clamped to ``[0, cap]``.
+
+        Returns a ``(rows, len(levels))`` array.
         """
-        self._require_ready()
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        cap = float(cap)
-        xk, sk, tk = self._inversion_tables()
-        n = xk.size
-        if n == 1:
-            return np.clip(levels * sk[0], 0.0, cap)
         # Interval index: -1 left of the first knot, n-1 right of the last.
-        j = np.searchsorted(tk, levels, side="right") - 1
-        left = j < 0
-        right = j >= n - 1
-        inner = ~(left | right)
-        x = np.empty(levels.shape)
+        j = upper_bound(self.tk, levels) - 1
         # Constant-speed extensions on both sides.
-        x[left] = levels[left] * sk[0]
-        x[right] = levels[right] * sk[-1]
-        if np.any(inner):
-            ji = j[inner]
-            t = levels[inner]
-            mk = (sk[ji + 1] - sk[ji]) / (xk[ji + 1] - xk[ji])
-            denom = 1.0 - t * mk
+        x = np.where(j < 0, levels * self.sk[:, :1], levels * self.s_last[:, None])
+        r, c = np.nonzero((j >= 0) & (j < self.n[:, None] - 1))
+        if r.size:
+            ji = j[r, c]
+            ti = levels[c]
+            denom = 1.0 - ti * self.mk[r, ji]
             # t strictly increasing on the interval => denominator > 0 at
             # the root; guard float dust by falling back to the right knot.
             xi = np.where(
                 denom > 1e-300,
-                t * (sk[ji] - mk * xk[ji]) / np.where(denom > 1e-300, denom, 1.0),
-                xk[ji + 1],
+                ti * self.bk[r, ji] / np.where(denom > 1e-300, denom, 1.0),
+                self.xk[r, ji + 1],
             )
-            x[inner] = np.clip(xi, xk[ji], xk[ji + 1])
-        return np.clip(x, 0.0, cap)
+            x[r, c] = np.clip(xi, self.xk[r, ji], self.xk[r, ji + 1])
+        return np.clip(x, 0.0, float(cap))
+
+    def times(self, sizes) -> np.ndarray:
+        """Every row's time at its own size(s): ``sizes`` is ``(rows,)`` or ``(rows, m)``."""
+        xs = np.asarray(sizes, dtype=float)
+        xs2 = xs.reshape(xs.shape[0], -1)
+        x_eval = np.clip(xs2, self.x_min[:, None], self.x_max[:, None])
+        i = np.clip(upper_bound(self.xk, x_eval) - 1, 0,
+                    np.maximum(self.n - 2, 0)[:, None])
+        r = np.arange(xs2.shape[0])[:, None]
+        y = self.ys[r, i] + self.slopes[r, i] * (x_eval - self.xk[r, i])
+        speeds = np.where(self.n[:, None] > 1, np.maximum(y, 1e-12), self.sk[:, :1])
+        return np.where(xs2 == 0.0, 0.0, xs2 / speeds).reshape(xs.shape)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
-from repro.core.partition.batch import model_times
+from repro.core.partition.batch import ModelBank
 from repro.core.partition.cert import ConvergenceCert, certify
 from repro.core.partition.dist import Distribution, Part, round_preserving_sum
 from repro.core.partition.validate import validate_partition_inputs
@@ -44,7 +44,8 @@ def partition_constant(
         A :class:`Distribution` whose parts sum exactly to ``total``, with
         predicted times from the models.
     """
-    total = validate_partition_inputs(total, models)
+    bank = ModelBank(models)
+    total = validate_partition_inputs(total, models, bank)
     size = len(models)
     _cert = ConvergenceCert("basic", True, 0, 0, 0.0, 0.0,
                             "closed-form proportional split")
@@ -55,7 +56,7 @@ def partition_constant(
         )
     probe = max(total / size, 1.0)
     # One batched probe evaluation covers every model's constant speed.
-    probe_times = model_times(models, [probe] * size)
+    probe_times = bank.times(np.full(size, probe))
     if np.any(probe_times <= 0.0):
         rank = int(np.argmax(probe_times <= 0.0))
         raise PartitionError(
@@ -65,7 +66,7 @@ def partition_constant(
     total_speed = float(np.sum(speeds))
     shares = [total * float(s) / total_speed for s in speeds]
     sizes = round_preserving_sum(shares, total)
-    times = model_times(models, [float(d) for d in sizes])
+    times = bank.times(np.asarray(sizes, dtype=float))
     dist = Distribution(
         Part(d, float(times[i]) if d > 0 else 0.0) for i, d in enumerate(sizes)
     )

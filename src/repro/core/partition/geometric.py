@@ -20,12 +20,14 @@ increasing, so each ``x_i(T)`` is monotone in ``T``.
 
 The hot path is batched.  Each step probes ``probes`` interior levels at
 once (multi-section: the bracket shrinks by ``probes + 1`` per step instead
-of 2), and every model inverts the whole batch in a single
-:meth:`~repro.core.models.base.PerformanceModel.allocation_batch` call.
-The allocations found at the bracketing levels are carried to the next
-step: by monotonicity of ``x_i(T)`` they bound every interior allocation,
-so each model's inner search starts from an already tight bracket instead
-of ``[0, D]``.
+of 2), and one :class:`~repro.core.partition.batch.ModelBank` call inverts
+every device at every probed level: closed-form rows in one stacked numpy
+evaluation, any other model through its own
+:meth:`~repro.core.models.base.PerformanceModel.allocation_batch`.  The
+allocations found at the bracketing levels are carried to the next step:
+by monotonicity of ``x_i(T)`` they bound every interior allocation, so a
+model that searches starts from an already tight bracket instead of
+``[0, D]``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
-from repro.core.partition.batch import allocations_at_levels
+from repro.core.partition.batch import ModelBank
 from repro.core.partition.cert import ConvergenceCert, certify
 from repro.core.partition.dist import Distribution, Part, round_preserving_sum
 from repro.core.partition.validate import validate_partition_inputs
@@ -108,10 +110,33 @@ def partition_geometric(
     Returns:
         A :class:`Distribution` summing exactly to ``total``.
     """
-    total = validate_partition_inputs(total, models)
+    bank = ModelBank(models)
+    total = validate_partition_inputs(total, models, bank)
+    return solve_geometric(
+        total, bank, tol=tol, max_iter=max_iter, trace=trace, probes=probes,
+        strict=strict, certs=certs, warm_start=warm_start,
+    )
+
+
+def solve_geometric(
+    total: int,
+    bank: ModelBank,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+    trace: Optional[List[BisectionStep]] = None,
+    probes: int = 8,
+    strict: bool = False,
+    certs: Optional[List[ConvergenceCert]] = None,
+    warm_start: Optional[WarmStart] = None,
+) -> Distribution:
+    """:func:`partition_geometric` on a bank of already validated models.
+
+    For callers that evaluate the same models again after the solve
+    (the Pareto sweep), so the models are validated and stacked once.
+    """
     if probes < 1:
         raise PartitionError(f"probes must be >= 1, got {probes}")
-    size = len(models)
+    size = bank.size
     if total == 0:
         return certify(
             Distribution(Part(0, 0.0) for _ in range(size)),
@@ -119,9 +144,10 @@ def partition_geometric(
                             "trivial: total is 0"),
             strict, certs,
         )
+    at_total = bank.times(np.full(size, float(total)))
     if size == 1:
         return certify(
-            Distribution([Part(total, models[0].time(total))]),
+            Distribution([Part(total, float(at_total[0]))]),
             ConvergenceCert("geometric", True, 0, max_iter, 0.0, tol,
                             "trivial: single process"),
             strict, certs,
@@ -130,7 +156,7 @@ def partition_geometric(
     # Upper bracket: the time level at which allocations certainly cover D
     # is at most the smallest single-process time for the whole problem
     # (at that level one process alone would absorb everything).
-    t_hi = min(model.time(total) for model in models)
+    t_hi = float(at_total.min())
     if t_hi <= 0.0:
         raise PartitionError("models predict non-positive time for the total size")
 
@@ -153,7 +179,7 @@ def partition_geometric(
     # allocation probed inside the bracket (x_i(T) is monotone in T).
     if warm_start is not None:
         lo, hi, alloc_lo, alloc_hi = warm_bracket(
-            warm_start, total, models, cap, t_hi
+            warm_start, total, bank, cap, t_hi
         )
     else:
         lo, hi = 0.0, t_hi
@@ -171,7 +197,7 @@ def partition_geometric(
             break
         iterations += 1
         levels = lo + (hi - lo) * fractions
-        allocs = allocations_at_levels(models, levels, cap, alloc_lo, alloc_hi)
+        allocs = bank.allocations(levels, cap, alloc_lo, alloc_hi)
         residuals = allocs.sum(axis=0) - cap
         for j in range(levels.size):
             record(float(levels[j]), allocs[:, j], float(residuals[j]))
@@ -192,8 +218,8 @@ def partition_geometric(
 
     if level is None:
         level = 0.5 * (lo + hi)
-        exact = allocations_at_levels(
-            models, np.asarray([level]), cap, alloc_lo, alloc_hi
+        exact = bank.allocations(
+            np.asarray([level]), cap, alloc_lo, alloc_hi
         )[:, 0]
         if not converged:
             detail = "iteration cap hit before the bracket closed"
@@ -202,8 +228,9 @@ def partition_geometric(
     record(level, exact, float(exact.sum()) - cap)
     shares: List[float] = [float(a) for a in exact]
     sizes = round_preserving_sum(shares, total)
+    times = bank.times(np.asarray(sizes, dtype=float))
     dist = Distribution(
-        Part(d, models[i].time(d) if d > 0 else 0.0) for i, d in enumerate(sizes)
+        Part(d, float(times[i]) if d > 0 else 0.0) for i, d in enumerate(sizes)
     )
     cert = ConvergenceCert(
         algorithm="geometric",

@@ -25,7 +25,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.models.base import PerformanceModel
+from repro.core.partition.batch import ModelBank
 from repro.core.partition.dist import Distribution, Part
 from repro.core.partition.dynamic import PartitionFunction
 from repro.errors import PartitionError
@@ -98,8 +101,9 @@ def partition_with_limits(
         raise PartitionError(
             f"could not place all {total} units within the given limits"
         )
+    times = ModelBank(models).times(np.asarray(frozen, dtype=float))
     parts = [
-        Part(d, models[i].time(d) if d > 0 else 0.0)
+        Part(d, float(times[i]) if d > 0 else 0.0)
         for i, d in enumerate(frozen)  # type: ignore[arg-type]
     ]
     dist = Distribution(parts)

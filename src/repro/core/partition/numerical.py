@@ -25,23 +25,24 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
-from repro.core.partition.batch import model_times
+from repro.core.partition.batch import ModelBank
 from repro.core.partition.cert import ConvergenceCert, certify
 from repro.core.partition.dist import Distribution, Part, round_preserving_sum
-from repro.core.partition.geometric import partition_geometric
+from repro.core.partition.geometric import solve_geometric
 from repro.core.partition.validate import validate_partition_inputs
 from repro.core.partition.warm import WarmStart
 from repro.solver.newton import newton_system
 
 
 def _residual_factory(
-    total: int, models: Sequence[PerformanceModel]
+    total: int, bank: ModelBank
 ) -> Callable[[np.ndarray], np.ndarray]:
-    p = len(models)
+    p = bank.size
 
     def residual(x: np.ndarray) -> np.ndarray:
-        # All p time evaluations of the Newton step in one batched call.
-        times = model_times(models, x)
+        # All p time evaluations of the Newton step in one batched call;
+        # iterates may step slightly negative.
+        times = bank.times(np.maximum(np.asarray(x, dtype=float), 0.0))
         out = np.empty(p)
         out[: p - 1] = times[: p - 1] - times[p - 1]
         out[p - 1] = float(np.sum(x)) - float(total)
@@ -108,7 +109,8 @@ def partition_numerical(
     Returns:
         A :class:`Distribution` summing exactly to ``total``.
     """
-    total = validate_partition_inputs(total, models)
+    bank = ModelBank(models)
+    total = validate_partition_inputs(total, models, bank)
     size = len(models)
     if total == 0:
         return certify(
@@ -119,18 +121,18 @@ def partition_numerical(
         )
     if size == 1:
         return certify(
-            Distribution([Part(total, models[0].time(total))]),
+            Distribution([Part(total, float(bank.times([float(total)])[0]))]),
             ConvergenceCert("numerical", True, 0, max_iter, 0.0, tol,
                             "trivial: single process"),
             strict, certs,
         )
 
-    seed = partition_geometric(total, models, warm_start=warm_start)
+    seed = solve_geometric(total, bank, warm_start=warm_start)
     x0 = np.asarray([float(p.d) for p in seed.parts])
     # Strictly interior start helps when a part was rounded to zero.
     x0 = np.maximum(x0, 1e-3)
 
-    residual = _residual_factory(total, models)
+    residual = _residual_factory(total, bank)
     jacobian = _jacobian_factory(models)
     # Residual scale: a tolerance in absolute seconds would be meaningless
     # across problem scales, so normalise by the seed's makespan.
@@ -173,7 +175,7 @@ def partition_numerical(
         )
         return certify(seed, cert, strict, certs)
     sizes = round_preserving_sum(shares, total)
-    times = model_times(models, [float(d) for d in sizes])
+    times = bank.times(np.asarray(sizes, dtype=float))
     dist = Distribution(
         Part(d, float(times[i]) if d > 0 else 0.0) for i, d in enumerate(sizes)
     )

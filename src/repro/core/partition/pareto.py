@@ -26,10 +26,10 @@ Two solve paths share that formulation:
   ``partition_geometric`` over the energy models, so the front's
   time-endpoint always matches the time-only partitioner's output;
 * **interior points are batched**: all interior alphas run through one
-  shared bisection whose per-step inversion is vectorized across
-  ``(alpha, probe level)`` on a piecewise-linear sampling of each
-  blended function (exact model evaluations at the grid knots, linear
-  in between).  One sweep therefore costs a small multiple of a single
+  shared bisection whose per-step inversion is one numpy call across
+  ``(device, alpha, probe level)`` on a piecewise-linear sampling of
+  each blended function (exact model evaluations at the grid knots,
+  linear in between).  One sweep therefore costs a small multiple of a single
   solve instead of ``npoints`` multiples -- the property the
   ``bench_energy_pareto`` gate pins.  ``method="exact"`` falls back to
   sequential :func:`partition_geometric` solves on exact blended
@@ -59,18 +59,26 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
+from repro.core.partition.batch import ModelBank
 from repro.core.partition.cert import ConvergenceCert
 from repro.core.partition.dist import round_preserving_sum
-from repro.core.partition.geometric import partition_geometric
+from repro.core.partition.geometric import partition_geometric, solve_geometric
 from repro.core.partition.validate import validate_partition_inputs
 from repro.core.partition.warm import WarmStart
 from repro.errors import ConvergenceError, ConvergenceWarning, PartitionError
+from repro.interp.piecewise_linear import upper_bound
 
 #: Default number of front points (including both endpoints).
 DEFAULT_FRONT_POINTS = 9
 
 #: Hard ceiling on requested front points (protocol validation reuses it).
 MAX_FRONT_POINTS = 64
+
+#: Entries (devices x weights x knots) of the blended table the interior
+#: sweep holds at once (128 kB); more weights are swept in chunks, so the
+#: sweep's memory grows with devices x knots, not with the front's points
+#: too (at 1,024 devices and 64 points one table would take 76 MB).
+_BLEND_TABLE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -283,13 +291,12 @@ class BlendedModel(PerformanceModel):
 
 
 def _objective_scales(
-    total: int,
-    models: Sequence[PerformanceModel],
-    energy_models: Sequence[PerformanceModel],
+    total: int, time_bank: ModelBank, energy_bank: ModelBank
 ) -> Tuple[float, float]:
     """Dimensionless-blend normalisers: single-device minima at ``total``."""
-    t_scale = min(m.time(total) for m in models)
-    e_scale = min(m.time(total) for m in energy_models)
+    at_total = np.full(time_bank.size, float(total))
+    t_scale = float(time_bank.times(at_total).min())
+    e_scale = float(energy_bank.times(at_total).min())
     if not (t_scale > 0.0 and e_scale > 0.0):
         raise PartitionError(
             "models predict non-positive time/energy for the total size"
@@ -297,73 +304,109 @@ def _objective_scales(
     return t_scale, e_scale
 
 
+def _part_values(bank: ModelBank, sizes: Sequence[int]) -> List[float]:
+    """Each rank's predicted value at its share, 0.0 where the share is 0."""
+    d = np.asarray(sizes, dtype=float)
+    return np.where(d > 0, bank.times(d), 0.0).tolist()
+
+
 def _evaluate_point(
-    sizes: Sequence[int],
-    models: Sequence[PerformanceModel],
-    energy_models: Sequence[PerformanceModel],
+    sizes: Sequence[int], time_bank: ModelBank, energy_bank: ModelBank
 ) -> Tuple[Tuple[float, ...], float, float]:
     """Exact per-rank times, makespan and total joules of a distribution."""
-    times = tuple(
-        models[i].time(d) if d > 0 else 0.0 for i, d in enumerate(sizes)
-    )
-    energy = sum(
-        energy_models[i].time(d) if d > 0 else 0.0 for i, d in enumerate(sizes)
-    )
+    times = tuple(_part_values(time_bank, sizes))
+    energy = sum(_part_values(energy_bank, sizes))
     return times, max(times), float(energy)
 
 
-def _grid_for(
-    model: PerformanceModel,
-    energy_model: PerformanceModel,
-    cap: float,
-    grid: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared sampling grid and exact (time, energy) values on it.
+class _Surrogate:
+    """Piecewise-linear samplings of every device's blended cost, stacked.
 
-    The grid is geometric from 1 unit to the cap, augmented with both
-    models' measured sizes, so a piecewise-linear interpolation of the
-    sampled values reproduces kinks the models were actually fitted
-    with.  ``x = 0`` anchors both functions at zero.
+    Each device gets a grid geometric from 1 unit to the cap, augmented
+    with both its models' measured sizes (so the interpolation reproduces
+    kinks the models were actually fitted with) and anchored at
+    ``x = 0``; the time and energy models are evaluated exactly at the
+    knots.  Grids are padded to one width with the cap.
+
+    :meth:`weigh` then builds the table the inversion searches:
+    ``values[i, k]`` is device ``i``'s blended cost
+    ``wt[k] * t_i + we[k] * e_i`` at its knots, made non-decreasing, and
+    ``+inf`` past its last knot.
     """
-    xs = [np.geomspace(1.0, cap, num=grid)]
-    for m in (model, energy_model):
-        pts = np.asarray([p.d for p in getattr(m, "points", ())], dtype=float)
-        if pts.size:
-            xs.append(np.clip(pts, 1.0, cap))
-    X = np.unique(np.concatenate(xs + [np.asarray([cap])]))
-    tv = np.concatenate([[0.0], model.time_batch(X)])
-    ev = np.concatenate([[0.0], energy_model.time_batch(X)])
-    X = np.concatenate([[0.0], X])
-    return X, tv, ev
 
+    def __init__(
+        self, time_bank: ModelBank, energy_bank: ModelBank, cap: float, grid: int
+    ) -> None:
+        measured = [
+            [pt.d for m in pair for pt in getattr(m, "points", ())]
+            for pair in zip(time_bank.models, energy_bank.models)
+        ]
+        p = len(measured)
+        grid_xs = np.full((p, grid + 1 + max(map(len, measured))), np.inf)
+        grid_xs[:, :grid] = np.geomspace(1.0, cap, num=grid)
+        grid_xs[:, grid] = cap
+        for row, sizes in zip(grid_xs, measured):
+            if sizes:
+                row[grid + 1:grid + 1 + len(sizes)] = np.clip(sizes, 1.0, cap)
+        # np.unique per row: sort, blank out repeats, sort them to the end.
+        grid_xs.sort(axis=1)
+        grid_xs[:, 1:][grid_xs[:, 1:] == grid_xs[:, :-1]] = np.inf
+        grid_xs.sort(axis=1)
+        #: Knots per device, the ``x = 0`` anchor included.
+        self.count = 1 + np.isfinite(grid_xs).sum(axis=1)
+        width = int(self.count.max())
+        knots = np.zeros((p, width))
+        knots[:, 1:] = np.where(np.isfinite(grid_xs[:, :width - 1]),
+                                grid_xs[:, :width - 1], cap)
+        self.tv = time_bank.times(knots)
+        self.ev = energy_bank.times(knots)
+        self.tv[:, 0] = 0.0
+        self.ev[:, 0] = 0.0
+        self.knots = knots
+        self._past = (np.arange(width) >= self.count[:, None])[:, None, :]
 
-def _invert_rows(
-    X: np.ndarray,
-    V: np.ndarray,
-    levels: np.ndarray,
-    cap: float,
-) -> np.ndarray:
-    """Allocation per (alpha row, level) on a piecewise-linear function.
+    def weigh(self, wt: np.ndarray, we: np.ndarray) -> None:
+        """Build the blended table for the weights ``(wt[k], we[k])``."""
+        p, width = self.knots.shape
+        values = np.empty((p, wt.size, width))
+        for k in range(wt.size):
+            np.maximum.accumulate(wt[k] * self.tv + we[k] * self.ev, axis=1,
+                                  out=values[:, k])
+        np.copyto(values, np.inf, where=self._past)
+        self.values = values
+        #: Each device's cost at its last knot (the cap), per weight.
+        self.last = values[np.arange(p), :, self.count - 1]
 
-    ``V`` holds the blended values at the knots ``X`` for every alpha
-    row; inversion is a vectorized searchsorted + linear interpolation
-    with the :meth:`~repro.core.models.base.PerformanceModel.
-    allocation_batch` clamping contract (levels <= 0 -> 0, levels at or
-    above the cap value -> cap).
-    """
-    K, M = V.shape
-    idx = np.sum(V[:, None, :] <= levels[:, :, None], axis=2)
-    idx = np.clip(idx, 1, M - 1)
-    xlo = X[idx - 1]
-    xhi = X[idx]
-    vlo = np.take_along_axis(V, idx - 1, axis=1)
-    vhi = np.take_along_axis(V, idx, axis=1)
-    denom = np.maximum(vhi - vlo, 1e-300)
-    out = xlo + (levels - vlo) * (xhi - xlo) / denom
-    out = np.clip(out, 0.0, cap)
-    out[levels >= V[:, -1:]] = cap
-    out[levels <= 0.0] = 0.0
-    return out
+    def allocations(self, levels: np.ndarray, cap: float) -> np.ndarray:
+        """Allocation per (device, weight, level): ``levels`` is ``(K, m)``.
+
+        Linear interpolation between the bracketing knots with the
+        :meth:`~repro.core.models.base.PerformanceModel.allocation_batch`
+        clamping contract (levels <= 0 -> 0, levels at or above the cap
+        value -> cap).
+        """
+        p = self.knots.shape[0]
+        idx = upper_bound(self.values, levels)
+        idx = np.minimum(np.maximum(idx, 1), (self.count - 1)[:, None, None])
+        dev = np.arange(p)[:, None, None]
+        xlo = self.knots[dev, idx - 1]
+        xhi = self.knots[dev, idx]
+        vlo = np.take_along_axis(self.values, idx - 1, axis=2)
+        vhi = np.take_along_axis(self.values, idx, axis=2)
+        denom = np.maximum(vhi - vlo, 1e-300)
+        out = xlo + (levels - vlo) * (xhi - xlo) / denom
+        out = np.clip(out, 0.0, cap)
+        out[levels >= self.last[:, :, None]] = cap
+        out[np.broadcast_to(levels <= 0.0, out.shape)] = 0.0
+        return out
+
+    def residuals(self, levels: np.ndarray, cap: float) -> np.ndarray:
+        """Summed allocation minus the cap per (weight, level).
+
+        Devices are added in rank order (``add.accumulate`` is
+        sequential), so the sum is the same float whatever the shape.
+        """
+        return np.add.accumulate(self.allocations(levels, cap), axis=0)[-1] - cap
 
 
 def _blended_level(
@@ -426,8 +469,10 @@ def partition_pareto(
         A :class:`ParetoFront`; its time-endpoint is bit-identical to
         ``partition_geometric(total, models)``.
     """
-    total = validate_partition_inputs(total, models)
-    validate_partition_inputs(total, energy_models)
+    time_bank = ModelBank(models)
+    energy_bank = ModelBank(energy_models)
+    total = validate_partition_inputs(total, models, time_bank)
+    validate_partition_inputs(total, energy_models, energy_bank)
     if len(models) != len(energy_models):
         raise PartitionError(
             f"{len(models)} time models for {len(energy_models)} energy models"
@@ -453,18 +498,18 @@ def partition_pareto(
 
     # --- exact endpoints -------------------------------------------------
     point_certs: List[ConvergenceCert] = []
-    time_dist = partition_geometric(
-        total, models, tol=tol, max_iter=max_iter, probes=probes,
+    time_dist = solve_geometric(
+        total, time_bank, tol=tol, max_iter=max_iter, probes=probes,
         strict=strict, certs=point_certs,
         warm_start=warm_start if warm else None,
     )
-    energy_dist = partition_geometric(
-        total, energy_models, tol=tol, max_iter=max_iter, probes=probes,
+    energy_dist = solve_geometric(
+        total, energy_bank, tol=tol, max_iter=max_iter, probes=probes,
         strict=strict, certs=point_certs,
     )
 
     def endpoint(dist, alpha: float, cert: ConvergenceCert) -> ParetoPoint:
-        times, t, e = _evaluate_point(dist.sizes, models, energy_models)
+        times, t, e = _evaluate_point(dist.sizes, time_bank, energy_bank)
         return ParetoPoint(
             sizes=tuple(dist.sizes), times=times, time=t, energy=e,
             alpha=alpha,
@@ -481,15 +526,15 @@ def partition_pareto(
     # --- interior alphas -------------------------------------------------
     alphas = np.linspace(0.0, 1.0, npoints)[1:-1]
     if alphas.size and size > 1:
-        t_scale, e_scale = _objective_scales(total, models, energy_models)
+        t_scale, e_scale = _objective_scales(total, time_bank, energy_bank)
         if method == "exact":
             points.extend(_interior_exact(
-                total, models, energy_models, alphas[::-1], t_scale, e_scale,
+                total, time_bank, energy_bank, alphas[::-1], t_scale, e_scale,
                 tol, max_iter, probes, warm, strict, points[0],
             ))
         else:
             points.extend(_interior_fast(
-                total, models, energy_models, alphas, t_scale, e_scale,
+                total, time_bank, energy_bank, alphas, t_scale, e_scale,
                 tol, max_iter, probes, grid, warm, strict,
                 points[0], points[1],
             ))
@@ -539,8 +584,8 @@ def partition_pareto(
 
 def _interior_exact(
     total: int,
-    models: Sequence[PerformanceModel],
-    energy_models: Sequence[PerformanceModel],
+    time_bank: ModelBank,
+    energy_bank: ModelBank,
     alphas: np.ndarray,
     t_scale: float,
     e_scale: float,
@@ -556,10 +601,9 @@ def _interior_exact(
     prev = seed_point  # alphas arrive descending, nearest the time end
     for alpha in alphas:
         blended = [
-            BlendedModel(models[i], energy_models[i],
-                         wt=float(alpha) / t_scale,
+            BlendedModel(tm, em, wt=float(alpha) / t_scale,
                          we=(1.0 - float(alpha)) / e_scale)
-            for i in range(len(models))
+            for tm, em in zip(time_bank.models, energy_bank.models)
         ]
         ws = None
         if warm and prev is not None:
@@ -572,7 +616,7 @@ def _interior_exact(
             total, blended, tol=tol, max_iter=max_iter, probes=probes,
             strict=strict, warm_start=ws,
         )
-        times, t, e = _evaluate_point(dist.sizes, models, energy_models)
+        times, t, e = _evaluate_point(dist.sizes, time_bank, energy_bank)
         cert = dataclass_replace(
             dist.convergence, algorithm="pareto",
             detail=f"alpha={float(alpha):g} exact blend",
@@ -586,75 +630,31 @@ def _interior_exact(
     return out
 
 
-def _interior_fast(
-    total: int,
-    models: Sequence[PerformanceModel],
-    energy_models: Sequence[PerformanceModel],
-    alphas: np.ndarray,
-    t_scale: float,
-    e_scale: float,
+def _sweep(
+    surrogate: _Surrogate,
+    cap: float,
+    hints: Optional[Tuple[np.ndarray, np.ndarray]],
     tol: float,
     max_iter: int,
     probes: int,
-    grid: int,
-    warm: bool,
-    strict: bool,
-    time_point: ParetoPoint,
-    energy_point: ParetoPoint,
-) -> List[ParetoPoint]:
-    """All interior alphas through one batched bisection.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One batched bisection over the surrogate's current weights.
 
-    Per-step inversion runs on piecewise-linear samplings of the blended
-    cost functions (exact values at the knots), vectorized across every
-    (alpha, probe level) pair; the integer result of each alpha is then
-    re-evaluated on the *real* models, so reported objectives carry no
-    surrogate error.
+    Returns the final brackets, their tolerances and the step count.
+    Warm ``hints`` (low and high blended-level estimates per weight)
+    narrow the initial brackets; candidates violating the bracketing
+    invariant are discarded, exactly like WarmStart hints.
     """
-    cap = float(total)
-    K = alphas.size
-    p = len(models)
-
-    grids = [
-        _grid_for(models[i], energy_models[i], cap, grid) for i in range(p)
-    ]
-    # Blended knot values per model: (K, M_i), increasing along axis 1.
-    blends = []
-    wt = alphas / t_scale
-    we = (1.0 - alphas) / e_scale
-    for X, tv, ev in grids:
-        V = wt[:, None] * tv[None, :] + we[:, None] * ev[None, :]
-        blends.append(np.maximum.accumulate(V, axis=1))
-
+    K = surrogate.last.shape[1]
     lo = np.zeros(K)
-    hi = np.min(np.stack([V[:, -1] for V in blends]), axis=0)
-
-    def residuals_at(levels: np.ndarray) -> np.ndarray:
-        total_alloc = np.zeros(levels.shape)
-        for (X, _, _), V in zip(grids, blends):
-            total_alloc += _invert_rows(X, V, levels, cap)
-        return total_alloc - cap
-
-    if warm:
-        # Seed brackets from the exact endpoint solutions: the balanced
-        # level of alpha_k sits near the blended cost of its neighbors'
-        # distributions.  Candidates violating the bracketing invariant
-        # are discarded, exactly like WarmStart hints.
-        def norm_cols(point: ParetoPoint) -> Tuple[np.ndarray, np.ndarray]:
-            tcol = np.asarray(point.times) / t_scale
-            ecol = np.asarray([
-                energy_models[i].time(d) if d > 0 else 0.0
-                for i, d in enumerate(point.sizes)
-            ]) / e_scale
-            return tcol, ecol
-        lt = _blended_level(time_point.sizes, alphas, *norm_cols(time_point))
-        le = _blended_level(energy_point.sizes, alphas, *norm_cols(energy_point))
-        lo_hint = np.minimum(lt, le)
-        hi_hint = np.maximum(lt, le)
+    hi = surrogate.last.min(axis=0)
+    if hints is not None:
+        lo_hint, hi_hint = hints
         cand = np.stack([
             0.9 * lo_hint, 0.995 * lo_hint, 1.005 * hi_hint, 1.2 * hi_hint,
         ], axis=1)
         cand = np.clip(cand, 0.0, hi[:, None])
-        res = residuals_at(cand)
+        res = surrogate.residuals(cand, cap)
         neg = (res < 0.0) & (cand > lo[:, None])
         pos = (res >= 0.0) & (cand < hi[:, None]) & (cand > 0.0)
         j = neg.shape[1] - 1 - np.argmax(neg[:, ::-1], axis=1)
@@ -674,7 +674,7 @@ def _interior_fast(
             break
         iterations += 1
         levels = lo[:, None] + (hi - lo)[:, None] * fractions[None, :]
-        res = residuals_at(levels)
+        res = surrogate.residuals(levels, cap)
         ge = res >= 0.0
         has = ge.any(axis=1)
         j = np.where(has, ge.argmax(axis=1), probes)
@@ -684,12 +684,70 @@ def _interior_fast(
         jl = np.clip(j - 1, 0, probes - 1)
         new_lo = np.take_along_axis(levels, jl[:, None], 1)[:, 0]
         lo = np.where(open_k & (j > 0), new_lo, lo)
+    return lo, hi, tol_k, iterations
 
-    converged = (hi - lo) <= tol_k
-    level = 0.5 * (lo + hi)
+
+def _interior_fast(
+    total: int,
+    time_bank: ModelBank,
+    energy_bank: ModelBank,
+    alphas: np.ndarray,
+    t_scale: float,
+    e_scale: float,
+    tol: float,
+    max_iter: int,
+    probes: int,
+    grid: int,
+    warm: bool,
+    strict: bool,
+    time_point: ParetoPoint,
+    energy_point: ParetoPoint,
+) -> List[ParetoPoint]:
+    """All interior alphas through one batched bisection.
+
+    Per-step inversion runs on piecewise-linear samplings of the blended
+    cost functions (exact values at the knots), every (device, alpha,
+    probe level) of a chunk of alphas in one call; the integer result of
+    each alpha is then re-evaluated on the *real* models, so reported
+    objectives carry no surrogate error.
+    """
+    cap = float(total)
+    K = alphas.size
+    p = time_bank.size
+    wt = alphas / t_scale
+    we = (1.0 - alphas) / e_scale
+    surrogate = _Surrogate(time_bank, energy_bank, cap, grid)
+    hints = None
+    if warm:
+        # Seed brackets from the exact endpoint solutions: the balanced
+        # level of alpha_k sits near the blended cost of its neighbors'
+        # distributions.
+        def norm_cols(point: ParetoPoint) -> Tuple[np.ndarray, np.ndarray]:
+            tcol = np.asarray(point.times) / t_scale
+            ecol = np.asarray(_part_values(energy_bank, point.sizes)) / e_scale
+            return tcol, ecol
+        lt = _blended_level(time_point.sizes, alphas, *norm_cols(time_point))
+        le = _blended_level(energy_point.sizes, alphas, *norm_cols(energy_point))
+        hints = (np.minimum(lt, le), np.maximum(lt, le))
+
+    # Every weight's bisection is independent, so the weights are swept
+    # in chunks that keep the blended table near _BLEND_TABLE_ENTRIES.
+    lo = np.zeros(K)
+    hi = np.zeros(K)
+    tol_k = np.zeros(K)
     shares = np.zeros((p, K))
-    for i, ((X, _, _), V) in enumerate(zip(grids, blends)):
-        shares[i] = _invert_rows(X, V, level[:, None], cap)[:, 0]
+    iterations = 0
+    chunk = max(1, _BLEND_TABLE_ENTRIES // surrogate.knots.size)
+    for ks in (slice(s, s + chunk) for s in range(0, K, chunk)):
+        surrogate.weigh(wt[ks], we[ks])
+        lo[ks], hi[ks], tol_k[ks], steps = _sweep(
+            surrogate, cap, None if hints is None else (hints[0][ks], hints[1][ks]),
+            tol, max_iter, probes,
+        )
+        iterations = max(iterations, steps)
+        level = 0.5 * (lo[ks] + hi[ks])
+        shares[:, ks] = surrogate.allocations(level[:, None], cap)[:, :, 0]
+    converged = (hi - lo) <= tol_k
 
     out: List[ParetoPoint] = []
     sizes_mat = np.zeros((K, p), dtype=int)
@@ -697,13 +755,10 @@ def _interior_fast(
         sizes_mat[k] = round_preserving_sum(
             [float(s) for s in shares[:, k]], total
         )
-    # Exact objective evaluation on the real models, batched per rank.
-    times_mat = np.zeros((K, p))
-    energy_mat = np.zeros((K, p))
-    for i in range(p):
-        col = sizes_mat[:, i].astype(float)
-        times_mat[:, i] = models[i].time_batch(col)
-        energy_mat[:, i] = energy_models[i].time_batch(col)
+    # Exact objective evaluation on the real models, one call per bank.
+    cols = sizes_mat.T.astype(float)
+    times_mat = np.ascontiguousarray(time_bank.times(cols).T)
+    energy_mat = np.ascontiguousarray(energy_bank.times(cols).T)
     for k in range(K):
         cert = ConvergenceCert(
             algorithm="pareto",

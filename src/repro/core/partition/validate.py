@@ -24,6 +24,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
+from repro.core.partition.batch import ModelBank
 from repro.errors import PartitionError
 
 
@@ -58,7 +61,7 @@ def validate_total(total) -> int:
     return int(as_float)
 
 
-def validate_partition_inputs(total, models: Sequence) -> int:
+def validate_partition_inputs(total, models: Sequence, bank=None) -> int:
     """Validate ``(total, models)`` for any partitioner; return ``int(total)``.
 
     Raises :class:`~repro.errors.PartitionError` with an actionable
@@ -66,6 +69,11 @@ def validate_partition_inputs(total, models: Sequence) -> int:
     measured points, and models whose time function cannot cover the
     requested size (see module docstring).  A ``total`` of 0 skips the
     per-model checks -- the trivial all-zero partition is always valid.
+
+    The times at ``total`` are evaluated in one call of ``bank`` (a
+    :class:`~repro.core.partition.batch.ModelBank` over ``models``; one
+    is built when none is given), so a partitioner that solves on a
+    bank validates on the same one.
     """
     if not models:
         raise PartitionError(
@@ -85,21 +93,31 @@ def validate_partition_inputs(total, models: Sequence) -> int:
                 "sizes for this device or fall back to a simpler model "
                 "(e.g. 'constant')"
             )
-        try:
-            t = model.time(n)
-        except Exception as exc:
-            size_range = getattr(model, "size_range", None)
-            raise PartitionError(
-                f"model for rank {rank} cannot evaluate the requested "
-                f"total {n} ({type(exc).__name__}: {exc}); its measured "
-                f"domain is {size_range}; benchmark sizes covering the "
-                "partition range or fall back to a simpler model"
-            ) from exc
-        if not math.isfinite(t) or t < 0.0:
-            raise PartitionError(
-                f"model for rank {rank} predicts time {t!r} at the "
-                f"requested total {n}; its domain excludes the partition "
-                "range -- re-benchmark this device or fall back to a "
-                "simpler model"
-            )
+    if bank is None:
+        bank = ModelBank(models)
+    try:
+        times = bank.times(np.full(len(models), float(n)))
+    except Exception:
+        # Name the rank: re-evaluate one model at a time up to the culprit.
+        for rank, model in enumerate(models):
+            try:
+                model.time(n)
+            except Exception as exc:
+                size_range = getattr(model, "size_range", None)
+                raise PartitionError(
+                    f"model for rank {rank} cannot evaluate the requested "
+                    f"total {n} ({type(exc).__name__}: {exc}); its measured "
+                    f"domain is {size_range}; benchmark sizes covering the "
+                    "partition range or fall back to a simpler model"
+                ) from exc
+        raise
+    bad = ~(np.isfinite(times) & (times >= 0.0))
+    if bad.any():
+        rank = int(np.argmax(bad))
+        raise PartitionError(
+            f"model for rank {rank} predicts time {float(times[rank])!r} at "
+            f"the requested total {n}; its domain excludes the partition "
+            "range -- re-benchmark this device or fall back to a simpler "
+            "model"
+        )
     return n

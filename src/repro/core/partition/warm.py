@@ -26,7 +26,9 @@ bisection invariant before they replace the cold bracket ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.errors import PartitionError
 
@@ -105,28 +107,24 @@ def warm_start_from(dist, total: int = 0) -> WarmStart:
 def warm_bracket(
     warm: WarmStart,
     total: int,
-    models: Sequence,
+    bank,
     cap: float,
     t_hi: float,
 ):
     """Shrink the geometric bisection's initial bracket using a warm hint.
 
     Probes a small batch of candidate levels around the scaled hint (one
-    :func:`~repro.core.partition.batch.allocations_at_levels` call) and
-    keeps the tightest pair that preserves the bisection invariant
-    ``excess(lo) < 0 <= excess(hi)``.  Candidates that violate it are
-    simply discarded, so a misleading hint degrades to the cold bracket
-    rather than to a wrong answer.
+    :meth:`~repro.core.partition.batch.ModelBank.allocations` call over
+    the solve's bank) and keeps the tightest pair that preserves the
+    bisection invariant ``excess(lo) < 0 <= excess(hi)``.  Candidates
+    that violate it are simply discarded, so a misleading hint degrades
+    to the cold bracket rather than to a wrong answer.
 
     Returns:
         ``(lo, hi, alloc_lo, alloc_hi)`` -- the (possibly) narrowed
         bracket and the per-model allocations at its ends.
     """
-    import numpy as np
-
-    from repro.core.partition.batch import allocations_at_levels
-
-    size = len(models)
+    size = bank.size
     lo, hi = 0.0, t_hi
     alloc_lo = np.zeros(size)
     alloc_hi = np.full(size, cap)
@@ -141,7 +139,7 @@ def warm_bracket(
     candidates = candidates[(candidates > 0.0) & (candidates < t_hi)]
     if candidates.size == 0:
         return lo, hi, alloc_lo, alloc_hi
-    allocs = allocations_at_levels(models, candidates, cap, alloc_lo, alloc_hi)
+    allocs = bank.allocations(candidates, cap, alloc_lo, alloc_hi)
     residuals = allocs.sum(axis=0) - cap
     for j in range(candidates.size):
         level = float(candidates[j])

@@ -21,6 +21,7 @@ first failure propagates as its typed error.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
@@ -55,6 +56,19 @@ _FALLBACK_TRIGGERS = (
     PartitionError,  # includes ConvergenceError
     DeadlineExceeded,
 )
+
+
+@functools.lru_cache(maxsize=64)
+def _parameter_names(fn: Callable) -> frozenset:
+    """The keyword names a partitioner accepts, read once per function.
+
+    ``inspect.signature`` costs tens of microseconds, a visible share of
+    a small solve; the ladder asks on every attempt.
+    """
+    try:
+        return frozenset(inspect.signature(fn).parameters)
+    except (TypeError, ValueError):
+        return frozenset()
 
 
 class DegradationPolicy:
@@ -223,10 +237,7 @@ class DegradationPolicy:
 
         fn = partitioner(name)
         kwargs = {}
-        try:
-            params = inspect.signature(fn).parameters
-        except (TypeError, ValueError):
-            params = {}
+        params = _parameter_names(fn)
         if "strict" in params:
             # Always strict internally: cap exhaustion must surface as
             # ConvergenceError so the ladder can react to it.

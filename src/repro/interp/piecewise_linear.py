@@ -117,3 +117,31 @@ class PiecewiseLinear:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PiecewiseLinear({len(self._xs)} points, x in [{self._xs[0]}, {self._xs[-1]}])"
+
+
+def upper_bound(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(row, v, side="right")`` for every row of a table.
+
+    ``table`` has shape ``(..., n)`` and is non-decreasing along its last
+    axis (pad short rows with ``+inf``); ``values`` has shape ``(..., m)``
+    and broadcasts against the leading axes.  Returns, per row and value,
+    how many entries are ``<= v``, as an ``(..., m)`` integer array.
+
+    A branch-free binary search: ``log2(n)`` gathers over the values, so
+    memory stays at the size of the answer instead of the
+    ``(..., m, n)`` comparison a broadcast would build.  The first probe
+    decides between the leading and the trailing power-of-two window,
+    so every later probe is in range.
+    """
+    n = table.shape[-1]
+    flat = table.reshape(-1)
+    # Flat index of each row's entry -1; row r's entry c is base[r] + c + 1.
+    base = (np.arange(flat.size // n) * n - 1).reshape(table.shape[:-1] + (1,))
+    step = 1 << (n.bit_length() - 1)
+    count = np.where(flat[base + step] <= values, n - step + 1, 0)
+    step >>= 1
+    while step:
+        cand = count + step
+        count = np.where(flat[base + cand] <= values, cand, count)
+        step >>= 1
+    return count

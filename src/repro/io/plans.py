@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.errors import PersistenceError
-from repro.serve.cache import PlanCache
+from repro.serve.cache import PlanCache, payload_entry
 from repro.serve.fingerprint import FINGERPRINT_VERSION
 from repro.serve.journal import fsync_dir
 
@@ -55,29 +55,45 @@ def save_plan_cache(path: PathLike, cache: PlanCache) -> int:
     with the parent directory fsynced after it (so the rename itself
     survives a power cut), so a
     crash mid-save leaves either the old snapshot or the new one --
-    never a torn file.  The payload is captured in one locked call
-    (:meth:`PlanCache.to_payload`), so saving while serving threads
+    never a torn file.  The entries are captured in one locked call
+    (:meth:`PlanCache.payload_items`), so saving while serving threads
     insert concurrently snapshots a consistent LRU state.
     """
-    payload = cache.to_payload()
-    doc = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "fingerprint_version": FINGERPRINT_VERSION,
-        "entries": payload,
-    }
+    items = cache.payload_items()
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, indent=2) + "\n")
+            _write_document(handle, items)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
         fsync_dir(target.parent)
     except OSError as exc:
         raise PersistenceError(f"cannot save plan cache to {path}: {exc}") from exc
-    return len(payload)
+    return len(items)
+
+
+def _write_document(handle, items) -> None:
+    """Write ``json.dumps(doc, indent=2) + "\\n"``, rendering one entry at a time.
+
+    The byte layout is that of the whole document dumped at once; only
+    one entry's dict and text are alive at a time, so a compaction of
+    large plans costs no memory spike.
+    """
+    handle.write("{\n")
+    for name, value in (("format", _FORMAT), ("version", _VERSION),
+                        ("fingerprint_version", FINGERPRINT_VERSION)):
+        handle.write(f"  {json.dumps(name)}: {json.dumps(value)},\n")
+    if not items:
+        handle.write('  "entries": []\n}\n')
+        return
+    handle.write('  "entries": [\n')
+    for i, item in enumerate(items):
+        text = json.dumps(payload_entry(*item), indent=2)
+        handle.write("    " + text.replace("\n", "\n    "))
+        handle.write(",\n" if i + 1 < len(items) else "\n")
+    handle.write("  ]\n}\n")
 
 
 def load_plan_cache(path: PathLike, cache: PlanCache) -> int:

@@ -137,6 +137,23 @@ def _estimate_bytes(result: PlanResult) -> int:
     return len(json.dumps(result.to_dict(), separators=(",", ":")))
 
 
+def payload_entry(
+    key: str,
+    models_fp: str,
+    result: PlanResult,
+    spec: Optional[Tuple[Any, ...]] = None,
+) -> Dict[str, Any]:
+    """One cache entry as the JSON-ready dict of :meth:`PlanCache.to_payload`."""
+    item: Dict[str, Any] = {
+        "key": key,
+        "models_fp": models_fp,
+        "result": result.to_dict(),
+    }
+    if spec is not None:
+        item["spec"] = list(spec)
+    return item
+
+
 class PlanCache:
     """LRU cache for partition plans, safe for concurrent serving threads.
 
@@ -421,18 +438,22 @@ class PlanCache:
         emitted only when present, so payloads from spec-less caches are
         byte-identical to the pre-lineage format.
         """
+        return [payload_entry(*item) for item in self.payload_items()]
+
+    def payload_items(
+        self,
+    ) -> List[Tuple[str, str, PlanResult, Optional[Tuple[Any, ...]]]]:
+        """``(key, models_fp, result, spec)`` per entry, oldest first.
+
+        One locked read: a consistent LRU snapshot whose parts are
+        immutable, so :func:`payload_entry` may render them afterwards,
+        one at a time.
+        """
         with self._lock:
-            out: List[Dict[str, Any]] = []
-            for key, entry in self._entries.items():
-                item: Dict[str, Any] = {
-                    "key": key,
-                    "models_fp": entry.models_fp,
-                    "result": entry.result.to_dict(),
-                }
-                if entry.spec is not None:
-                    item["spec"] = list(entry.spec)
-                out.append(item)
-            return out
+            return [
+                (key, entry.models_fp, entry.result, entry.spec)
+                for key, entry in self._entries.items()
+            ]
 
     def load_payload(self, payload: List[Dict[str, Any]]) -> int:
         """Insert persisted entries, returning how many were loaded.

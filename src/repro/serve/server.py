@@ -317,7 +317,8 @@ class PlanServer:
         if deadline is None and self.default_deadline is not None:
             deadline = self.default_deadline
         if deadline is not None and not isinstance(deadline, Deadline):
-            deadline = Deadline(float(deadline), stage="serve:request")
+            deadline = Deadline(float(deadline), stage="serve:request",
+                                clock=time.monotonic)
         served = self._serve(
             self._make_request(total, partitioner, options, kind, objective)
         )
@@ -422,7 +423,8 @@ class PlanServer:
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop admitting work and wait for in-flight computations.
 
-        Returns True when everything finished inside ``timeout`` (or
+        Returns True when everything finished inside ``timeout`` -- wall
+        seconds for the whole drain, ``0`` to wait for nothing -- (or
         unconditionally with ``timeout=None``), False when computations
         were still running at expiry.  Safe to call more than once;
         :meth:`close` drains implicitly.
@@ -430,18 +432,13 @@ class PlanServer:
         with self._lock:
             self._closed = True
             pending = list(self._inflight.values())
-        deadline = (
-            Deadline(timeout, stage="serve:drain") if timeout else None
-        )
+        end = None if timeout is None else time.monotonic() + timeout
         for future in pending:
             try:
-                if deadline is None:
-                    future.result()
-                else:
-                    remaining = deadline.remaining
-                    if remaining <= 0.0:
-                        return False
-                    future.result(timeout=remaining)
+                future.result(
+                    timeout=None if end is None
+                    else max(0.0, end - time.monotonic())
+                )
             except FutureTimeoutError:
                 return False
             except Exception:

@@ -1,23 +1,15 @@
 """Numerical solver substrate.
 
-The partitioning algorithms need two solvers:
-
-* scalar bisection on monotone functions (:func:`bisect_root`,
-  :func:`bisect_monotone_inverse`) -- used by the geometrical algorithm to
-  find the equal-execution-time level whose per-device allocations sum to
-  the total problem size;
-* a damped Newton method for small nonlinear systems
-  (:func:`newton_system`) -- used by the numerical algorithm on the system
-  ``t_1(x_1) = ... = t_p(x_p)``, ``sum x_i = D`` built from Akima-spline
-  models (ref. [15] of the paper).
+A damped Newton method for small nonlinear systems
+(:func:`newton_system`), used by the numerical algorithm on the system
+``t_1(x_1) = ... = t_p(x_p)``, ``sum x_i = D`` built from Akima-spline
+models (ref. [15] of the paper).  The geometrical algorithm's level
+bisection runs on :class:`~repro.core.partition.batch.ModelBank`.
 """
 
-from repro.solver.bisect import bisect_monotone_inverse, bisect_root
 from repro.solver.newton import NewtonResult, newton_system
 
 __all__ = [
     "NewtonResult",
-    "bisect_monotone_inverse",
-    "bisect_root",
     "newton_system",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.partition.cert import ConvergenceCert
 from repro.errors import PartitionError, PersistenceError
 from repro.io.plans import load_plan_cache, save_plan_cache
 from repro.serve.cache import PlanCache
+from repro.serve.fingerprint import FINGERPRINT_VERSION
 from repro.serve.plan import PlanResult
 
 pytestmark = pytest.mark.serve
@@ -299,6 +301,25 @@ class TestPersistence:
         assert got.cert is not None and got.cert.iterations == 7
         assert fresh.get("b").cert is None
         assert fresh.nearest("m1", 150) is not None
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_snapshot_is_the_document_dumped_whole(self, tmp_path, count):
+        # The snapshot is written one entry at a time; its bytes must be
+        # those of the whole document dumped with indent=2.
+        cache = PlanCache(capacity=8)
+        for i in range(count):
+            spec = (100 + i, "geometric", {"probes": 8}) if i == 1 else None
+            cache.put(f"k{i}", plan(f"k{i}", total=100 + i, with_cert=i != 2),
+                      "m1", spec=spec)
+        path = tmp_path / "plans.json"
+        assert save_plan_cache(path, cache) == count
+        doc = {
+            "format": "fupermod-plan-cache",
+            "version": 1,
+            "fingerprint_version": FINGERPRINT_VERSION,
+            "entries": cache.to_payload(),
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
 
     def test_fingerprint_version_mismatch_loads_empty(self, tmp_path):
         cache = PlanCache(capacity=8)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -158,6 +159,14 @@ class TestDeadlines:
             assert retry.cached
             assert server.engine.counters.computations == 1
 
+    def test_expiry_reports_wall_time_elapsed(self, gated_partitioner):
+        gate, _ = gated_partitioner
+        with PlanServer(make_models()) as server:
+            with pytest.raises(DeadlineExceeded) as exc_info:
+                server.request(1000, partitioner="gated", deadline=0.05)
+            assert exc_info.value.elapsed >= 0.05
+            gate.set()
+
     def test_default_deadline_applies(self, gated_partitioner):
         gate, _ = gated_partitioner
         with PlanServer(make_models(), default_deadline=0.05) as server:
@@ -213,6 +222,49 @@ class TestDrain:
             assert not server.drain(timeout=0.05)
         finally:
             gate.set()
+            server.close()
+
+    def test_zero_timeout_does_not_wait(self, gated_partitioner):
+        gate, started = gated_partitioner
+        server = PlanServer(make_models())
+        try:
+            server.submit(1000, partitioner="gated")
+            started.wait(timeout=10.0)
+            began = time.monotonic()
+            assert not server.drain(timeout=0)
+            assert time.monotonic() - began < 0.1
+        finally:
+            gate.set()
+            server.close()
+
+    def test_timeout_bounds_the_whole_drain(self, scratch_partitioner):  # noqa: F811
+        # Two solves in flight: one finishes at 0.2 s, one never does.
+        # The 0.3 s budget covers both waits, not 0.3 s per future.
+        gates = {1000: threading.Event(), 2000: threading.Event()}
+        started = {total: threading.Event() for total in gates}
+        geometric = partitioner("geometric")
+
+        def gated(total, models, **kwargs):
+            started[total].set()
+            assert gates[total].wait(timeout=30.0), "test forgot a gate"
+            return geometric(total, models)
+
+        scratch_partitioner("gated-each", gated)
+        server = PlanServer(make_models(), max_workers=2)
+        release = threading.Timer(0.2, gates[1000].set)
+        try:
+            server.submit(1000, partitioner="gated-each")
+            server.submit(2000, partitioner="gated-each")
+            for event in started.values():
+                assert event.wait(timeout=10.0)
+            release.start()
+            began = time.monotonic()
+            assert not server.drain(timeout=0.3)
+            assert time.monotonic() - began < 0.45
+        finally:
+            release.cancel()
+            for gate in gates.values():
+                gate.set()
             server.close()
 
 

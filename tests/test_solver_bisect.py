@@ -1,15 +1,38 @@
-"""Tests for scalar bisection utilities."""
+"""Tests for the scalar bisection of the hot-path bench's reference.
+
+``benchmarks/bench_hotpath_models.py`` judges the batched geometrical
+partitioner against a scalar reference built on these two functions, so
+the reference stays trustworthy only while they do.  ``benchmarks/`` is
+not a package: the bench is imported with its directory on the path
+(it imports its harness by name).
+"""
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
-from repro.solver.bisect import bisect_monotone_inverse, bisect_root
+
+
+def _load_bench():
+    bench_dir = str(Path(__file__).resolve().parent.parent / "benchmarks")
+    sys.path.insert(0, bench_dir)
+    try:
+        return importlib.import_module("bench_hotpath_models")
+    finally:
+        sys.path.remove(bench_dir)
+
+
+_bench = _load_bench()
+bisect_monotone_inverse = _bench.bisect_monotone_inverse
+bisect_root = _bench.bisect_root
 
 
 class TestBisectRoot:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -118,3 +122,28 @@ class TestStudentT:
     def test_invalid_dof(self):
         with pytest.raises(ValueError):
             student_t_quantile(0.95, 0)
+
+    def test_95_table_equals_scipy(self):
+        from scipy.special import stdtrit
+
+        for dof in range(1, 129):
+            expected = float(stdtrit(dof, 1.0 - (1.0 - 0.95) / 2.0))
+            assert student_t_quantile(0.95, dof) == expected, dof
+
+    def test_default_measurement_imports_no_scipy(self):
+        # A default-precision sweep on a noisy platform evaluates the 95 %
+        # interval after every repetition; it must not load scipy.
+        code = (
+            "import sys\n"
+            "from repro.core.benchmark import PlatformBenchmark, build_full_models\n"
+            "from repro.core.models import PiecewiseModel\n"
+            "from repro.platform.presets import fig4_trio\n"
+            "bench = PlatformBenchmark(fig4_trio(noisy=True), unit_flops=1.0e8)\n"
+            "build_full_models(bench, PiecewiseModel, sizes=[16, 64, 256])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", out.stdout
