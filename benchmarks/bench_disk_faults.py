@@ -29,9 +29,7 @@ or as an opt-in smoke test::
 
 from __future__ import annotations
 
-import gc
 import json
-import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -43,7 +41,7 @@ from repro.faults import DiskFaultPlan, DiskFaults, faulty_open
 from repro.serve import DurablePlanCache, PlanEngine, PlanResult
 
 from bench_plan_cache import SOLVE_OPTIONS, TOTAL, build_models
-from harness import fmt, print_table
+from harness import fmt, paired_overhead, print_table
 
 RESULT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_disk_faults.json"
@@ -70,9 +68,8 @@ def bench_guard_tax(
     """Cache-hit latency: guarded durable cache vs. fail-fast durable cache.
 
     Identical engines over identically-primed caches; the only delta is
-    ``durability_budget=3`` arming the degradation ladder.  Paired
-    rounds with alternating order, geometric-mean per pair, median over
-    pairs -- the same noise discipline as the hardening bench.
+    ``durability_budget=3`` arming the degradation ladder, timed by
+    :func:`harness.paired_overhead`.
     """
     out: Dict[str, Dict] = {}
     for p in ranks:
@@ -98,48 +95,15 @@ def bench_guard_tax(
 
             assert not plain_hit().cached and plain_hit().cached
             assert not guarded_hit().cached and guarded_hit().cached
-            batch = 4
-            ratios = []
-            plain_s = guarded_s = float("inf")
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            gc.collect()
-            try:
-                for rep in range(reps):
-                    first, second = (
-                        (plain_hit, guarded_hit)
-                        if rep % 2 == 0
-                        else (guarded_hit, plain_hit)
-                    )
-                    t0 = time.perf_counter()
-                    for _ in range(batch):
-                        first()
-                    first_s = (time.perf_counter() - t0) / batch
-                    t0 = time.perf_counter()
-                    for _ in range(batch):
-                        second()
-                    second_s = (time.perf_counter() - t0) / batch
-                    p_round, g_round = (
-                        (first_s, second_s)
-                        if rep % 2 == 0
-                        else (second_s, first_s)
-                    )
-                    ratios.append(g_round / p_round)
-                    plain_s = min(plain_s, p_round)
-                    guarded_s = min(guarded_s, g_round)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            paired = [
-                (ratios[i] * ratios[i + 1]) ** 0.5
-                for i in range(0, len(ratios) - 1, 2)
-            ]
+            plain_s, guarded_s, overhead = paired_overhead(
+                plain_hit, guarded_hit, reps
+            )
             plain.cache.close()
             guarded.cache.close()
         out[str(p)] = {
             "plain_hit_s": plain_s,
             "guarded_hit_s": guarded_s,
-            "overhead_frac": statistics.median(paired) - 1.0,
+            "overhead_frac": overhead,
             "hits_per_s": 1.0 / guarded_s,
         }
     return out

@@ -32,12 +32,10 @@ or as an opt-in smoke test::
 
 from __future__ import annotations
 
-import gc
 import json
-import statistics
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import pytest
 
@@ -50,7 +48,7 @@ from repro.serve import (
 )
 
 from bench_plan_cache import SOLVE_OPTIONS, TOTAL, build_models
-from harness import fmt, print_table
+from harness import fmt, paired_overhead, print_table
 
 RESULT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_feedback_loop.json"
@@ -86,10 +84,8 @@ def bench_hit_overhead(
     """Cache-hit latency: closed-loop server vs. plain server.
 
     Identical request streams against identically-primed caches; the
-    only difference is the attached controller and lineage.  The paired
-    round-by-round median ratio (the ``bench_serve_resilience``
-    technique) cancels clock drift and run-order advantage; GC stays off
-    inside the timed region.
+    only difference is the attached controller and lineage, timed by
+    :func:`harness.paired_overhead`.
     """
     out: Dict[str, Dict] = {}
     for p in ranks:
@@ -104,48 +100,15 @@ def bench_hit_overhead(
 
         assert not plain_hit().cached and plain_hit().cached
         assert not looped_hit().cached and looped_hit().cached
-        batch = 4
-        ratios: List[float] = []
-        plain_s = looped_s = float("inf")
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        gc.collect()
-        try:
-            for rep in range(reps):
-                first, second = (
-                    (plain_hit, looped_hit)
-                    if rep % 2 == 0
-                    else (looped_hit, plain_hit)
-                )
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    first()
-                first_s = (time.perf_counter() - t0) / batch
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    second()
-                second_s = (time.perf_counter() - t0) / batch
-                p_round, l_round = (
-                    (first_s, second_s)
-                    if rep % 2 == 0
-                    else (second_s, first_s)
-                )
-                ratios.append(l_round / p_round)
-                plain_s = min(plain_s, p_round)
-                looped_s = min(looped_s, l_round)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        paired = [
-            (ratios[i] * ratios[i + 1]) ** 0.5
-            for i in range(0, len(ratios) - 1, 2)
-        ]
+        plain_s, looped_s, overhead = paired_overhead(
+            plain_hit, looped_hit, reps
+        )
         plain.close()
         looped.close()
         out[str(p)] = {
             "plain_hit_s": plain_s,
             "looped_hit_s": looped_s,
-            "overhead_frac": statistics.median(paired) - 1.0,
+            "overhead_frac": overhead,
             "hits_per_s": 1.0 / looped_s,
         }
     return out

@@ -28,9 +28,7 @@ or as an opt-in smoke test::
 
 from __future__ import annotations
 
-import gc
 import json
-import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -41,7 +39,7 @@ import pytest
 from repro.serve import BreakerBoard, DurablePlanCache, PlanCache, PlanEngine
 
 from bench_plan_cache import SOLVE_OPTIONS, TOTAL, build_models
-from harness import fmt, print_table
+from harness import fmt, paired_overhead, print_table
 
 RESULT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_serve_resilience.json"
@@ -58,7 +56,8 @@ def bench_hit_overhead(
     Identical request streams against identically-primed caches; the only
     difference is the durable cache subclass and the breaker board being
     wired in.  Both sides pay the model fingerprint, the lock and the LRU
-    lookup -- the delta is the hardening tax, gated at <= 5%.
+    lookup -- the delta is the hardening tax, gated at <= 5%, timed by
+    :func:`harness.paired_overhead`.
     """
     out: Dict[str, Dict] = {}
     for p in ranks:
@@ -81,60 +80,16 @@ def bench_hit_overhead(
 
             assert not plain_hit().cached and plain_hit().cached
             assert not hardened_hit().cached and hardened_hit().cached
-            # Pair the two sides round-by-round and take the *median* of
-            # the per-round ratios: clock-frequency and scheduler drift
-            # hit both halves of a pair equally (so each ratio is clean),
-            # and the median discards the rounds a GC pause or a context
-            # switch did land in.  GC stays off inside the timed region.
-            batch = 4
-            ratios = []
-            plain_s = hardened_s = float("inf")
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            gc.collect()
-            try:
-                for rep in range(reps):
-                    # Alternate which side goes first: any warm-cache
-                    # advantage of running second cancels in the median.
-                    first, second = (
-                        (plain_hit, hardened_hit)
-                        if rep % 2 == 0
-                        else (hardened_hit, plain_hit)
-                    )
-                    t0 = time.perf_counter()
-                    for _ in range(batch):
-                        first()
-                    first_s = (time.perf_counter() - t0) / batch
-                    t0 = time.perf_counter()
-                    for _ in range(batch):
-                        second()
-                    second_s = (time.perf_counter() - t0) / batch
-                    p_round, h_round = (
-                        (first_s, second_s)
-                        if rep % 2 == 0
-                        else (second_s, first_s)
-                    )
-                    ratios.append(h_round / p_round)
-                    plain_s = min(plain_s, p_round)
-                    hardened_s = min(hardened_s, h_round)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            # Geometric-mean each plain-first/hardened-first pair of
-            # rounds: the systematic run-second advantage cancels
-            # exactly, leaving the median over pair estimates to absorb
-            # whatever scheduling noise remains.
-            paired = [
-                (ratios[i] * ratios[i + 1]) ** 0.5
-                for i in range(0, len(ratios) - 1, 2)
-            ]
+            plain_s, hardened_s, overhead = paired_overhead(
+                plain_hit, hardened_hit, reps
+            )
             assert plain.counters.computations == 1
             assert hardened.counters.computations == 1
             hardened.cache.wal.close()
         out[str(p)] = {
             "plain_hit_s": plain_s,
             "hardened_hit_s": hardened_s,
-            "overhead_frac": statistics.median(paired) - 1.0,
+            "overhead_frac": overhead,
             "hits_per_s": 1.0 / hardened_s,
         }
     return out

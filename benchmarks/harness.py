@@ -25,13 +25,15 @@ malformed file exits 2.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import statistics
 import sys
 import time
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from repro.core.partition.dist import Distribution
@@ -163,6 +165,54 @@ def best_time(fn: Callable[[], object], reps: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def paired_overhead(
+    base: Callable[[], object], other: Callable[[], object], rounds: int
+) -> Tuple[float, float, float]:
+    """Tax of ``other`` over ``base``: ``(base_s, other_s, overhead_frac)``.
+
+    The two sides are paired round by round: each round times a batch of
+    four calls of either side, alternating which side runs first, with GC
+    off inside the timed region.  Clock-frequency and scheduler drift
+    hit both halves of a round equally, so each round's ratio is clean.
+    The ratios are geometric-meaned per base-first/other-first pair of
+    rounds, so the run-second advantage cancels exactly, and
+    ``overhead_frac`` is the median over pairs minus one: the median
+    discards the pairs a GC pause or a context switch did land in.
+    ``base_s``/``other_s`` are each side's fastest round, per call.
+    """
+    batch = 4
+    ratios: List[float] = []
+    base_s = other_s = math.inf
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        for rep in range(rounds):
+            first, second = (base, other) if rep % 2 == 0 else (other, base)
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                first()
+            first_s = (time.perf_counter() - t0) / batch
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                second()
+            second_s = (time.perf_counter() - t0) / batch
+            b_round, o_round = (
+                (first_s, second_s) if rep % 2 == 0 else (second_s, first_s)
+            )
+            ratios.append(o_round / b_round)
+            base_s = min(base_s, b_round)
+            other_s = min(other_s, o_round)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    paired = [
+        (ratios[i] * ratios[i + 1]) ** 0.5
+        for i in range(0, len(ratios) - 1, 2)
+    ]
+    return base_s, other_s, statistics.median(paired) - 1.0
 
 
 def rank_time_fn(rank: int) -> Callable[[float], float]:

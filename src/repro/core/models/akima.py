@@ -17,36 +17,53 @@ Construction details:
 
 from __future__ import annotations
 
+import abc
+from typing import List, Optional, Tuple, Type
+
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
 from repro.errors import ModelError
-from repro.interp.akima import AkimaSpline
+from repro.interp.akima import AkimaSpline, HermiteSpline
 
 
-class AkimaModel(PerformanceModel):
-    """FPM with Akima-spline interpolation of the time function."""
+class HermiteModel(PerformanceModel):
+    """FPM whose time function is a cubic Hermite spline through knots.
+
+    Shared by :class:`AkimaModel` and
+    :class:`~repro.core.models.pchip.PchipModel`: a family supplies its
+    spline class, its fingerprint tag and the knots it fits
+    (:meth:`_knots`); the fit, the right extension and every evaluation
+    path live here.
+    """
 
     min_points = 1
+    #: Interpolant fitted through :meth:`_knots`.
+    _spline_class: Type[HermiteSpline]
+    #: Family name leading the fingerprint state and fit errors; literal,
+    #: so a subclass fingerprints as its family does.
+    _tag: str
 
     def __init__(self, include_origin: bool = True) -> None:
         super().__init__()
         self.include_origin = include_origin
-        self._spline: AkimaSpline | None = None
+        self._spline: Optional[HermiteSpline] = None
         self._x_max: float = 0.0
         self._t_max: float = 0.0
         self._right_slope: float = 0.0
 
+    @abc.abstractmethod
+    def _knots(self) -> List[Tuple[float, float]]:
+        """The ``(size, time)`` pairs the spline interpolates."""
+
     def _rebuild(self) -> None:
-        pts = [(float(p.d), p.t) for p in self._points]
-        if self.include_origin:
-            pts.append((0.0, 0.0))
+        pts = self._knots()
         if len({x for x, _t in pts}) < 2:
             raise ModelError(
-                "AkimaModel needs at least two distinct sizes "
+                f"{self._tag} needs at least two distinct sizes "
                 "(including the origin anchor)"
             )
-        self._spline = AkimaSpline(pts, min_y=1e-15)
+        self._spline = self._spline_class(pts, min_y=1e-15)
         self._x_max = max(x for x, _t in pts)
         self._t_max = self._spline(self._x_max)
         slope_at_end = self._spline.derivative(self._x_max)
@@ -58,7 +75,7 @@ class AkimaModel(PerformanceModel):
         self._require_ready()
         assert self._spline is not None
         return (
-            "AkimaModel",
+            self._tag,
             "knots",
             tuple(self._spline.xs),
             tuple(self._spline.ys),
@@ -92,3 +109,16 @@ class AkimaModel(PerformanceModel):
         if x > self._x_max:
             return self._right_slope
         return self._spline.derivative(x)
+
+
+class AkimaModel(HermiteModel):
+    """FPM with Akima-spline interpolation of the time function."""
+
+    _spline_class = AkimaSpline
+    _tag = "AkimaModel"
+
+    def _knots(self) -> List[Tuple[float, float]]:
+        pts = [(float(p.d), p.t) for p in self._points]
+        if self.include_origin:
+            pts.append((0.0, 0.0))
+        return pts

@@ -17,28 +17,20 @@ non-decreasing regardless of the noise.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import List, Tuple
 
-from repro.core.models.base import PerformanceModel
-from repro.errors import ModelError
+from repro.core.models.akima import HermiteModel
 from repro.interp.isotonic import isotonic_increasing
 from repro.interp.pchip import PchipSpline
 
 
-class PchipModel(PerformanceModel):
+class PchipModel(HermiteModel):
     """FPM with monotone (PCHIP) interpolation of the time function."""
 
-    min_points = 1
+    _spline_class = PchipSpline
+    _tag = "PchipModel"
 
-    def __init__(self, include_origin: bool = True) -> None:
-        super().__init__()
-        self.include_origin = include_origin
-        self._spline: PchipSpline | None = None
-        self._x_max: float = 0.0
-        self._t_max: float = 0.0
-        self._right_slope: float = 0.0
-
-    def _rebuild(self) -> None:
+    def _knots(self) -> List[Tuple[float, float]]:
         # Merge duplicate sizes by (rep-weighted) average, sort by size.
         by_size: dict = {}
         for p in self._points:
@@ -54,54 +46,4 @@ class PchipModel(PerformanceModel):
             pts.append((0.0, 0.0))
             # The anchor must not exceed the first fitted time.
             pts = [(x, max(t, 0.0)) for x, t in pts]
-        if len({x for x, _t in pts}) < 2:
-            raise ModelError(
-                "PchipModel needs at least two distinct sizes "
-                "(including the origin anchor)"
-            )
-        self._spline = PchipSpline(pts, min_y=1e-15)
-        self._x_max = max(x for x, _t in pts)
-        self._t_max = self._spline(self._x_max)
-        slope_at_end = self._spline.derivative(self._x_max)
-        avg_slope = self._t_max / self._x_max if self._x_max > 0 else 0.0
-        self._right_slope = max(slope_at_end, avg_slope, 1e-15)
-
-    def fingerprint_state(self) -> tuple:
-        """Fitted state is the (isotonic) spline knots plus the right slope."""
-        self._require_ready()
-        assert self._spline is not None
-        return (
-            "PchipModel",
-            "knots",
-            tuple(self._spline.xs),
-            tuple(self._spline.ys),
-            self._right_slope,
-        )
-
-    def time(self, x: float) -> float:
-        self._require_ready()
-        assert self._spline is not None
-        if x < 0.0:
-            raise ModelError(f"size must be non-negative, got {x}")
-        if x == 0.0:
-            return 0.0
-        if x > self._x_max:
-            return self._t_max + self._right_slope * (x - self._x_max)
-        return max(self._spline(x), 1e-15)
-
-    def _time_batch_impl(self, xs: np.ndarray) -> np.ndarray:
-        assert self._spline is not None
-        beyond = xs > self._x_max
-        out = np.maximum(self._spline.evaluate_batch(np.where(beyond, self._x_max, xs)), 1e-15)
-        out = np.where(beyond, self._t_max + self._right_slope * (xs - self._x_max), out)
-        return np.where(xs == 0.0, 0.0, out)
-
-    def time_derivative(self, x: float) -> float:
-        """Derivative ``dt/dx`` -- continuous, used by the Newton solver."""
-        self._require_ready()
-        assert self._spline is not None
-        if x < 0.0:
-            raise ModelError(f"size must be non-negative, got {x}")
-        if x > self._x_max:
-            return self._right_slope
-        return self._spline.derivative(x)
+        return pts

@@ -19,7 +19,7 @@ geometric algorithm's bisection on the common level, which is well
 defined because non-negative blends of increasing functions are
 increasing.
 
-Two solve paths share that formulation:
+The endpoints and the interior are solved differently:
 
 * **endpoints are exact**: ``alpha = 1`` *is* ``partition_geometric``
   over the time models (bit-identical, same cert) and ``alpha = 0`` is
@@ -28,12 +28,10 @@ Two solve paths share that formulation:
 * **interior points are batched**: all interior alphas run through one
   shared bisection whose per-step inversion is one numpy call across
   ``(device, alpha, probe level)`` on a piecewise-linear sampling of
-  each blended function (exact model evaluations at the grid knots,
-  linear in between).  One sweep therefore costs a small multiple of a single
-  solve instead of ``npoints`` multiples -- the property the
-  ``bench_energy_pareto`` gate pins.  ``method="exact"`` falls back to
-  sequential :func:`partition_geometric` solves on exact blended
-  models, warm-started point to point.
+  each blended function (exact model evaluations at 96 geometric knots
+  plus the measured sizes, linear in between).  One sweep therefore
+  costs a small multiple of a single solve instead of ``npoints``
+  multiples -- the property the ``bench_energy_pareto`` gate pins.
 
 Every returned :class:`ParetoPoint` carries its *exact* objective values
 (the integer distribution re-evaluated on the real models -- never the
@@ -62,7 +60,7 @@ from repro.core.models.base import PerformanceModel
 from repro.core.partition.batch import ModelBank
 from repro.core.partition.cert import ConvergenceCert
 from repro.core.partition.dist import round_preserving_sum
-from repro.core.partition.geometric import partition_geometric, solve_geometric
+from repro.core.partition.geometric import solve_geometric
 from repro.core.partition.validate import validate_partition_inputs
 from repro.core.partition.warm import WarmStart
 from repro.errors import ConvergenceError, ConvergenceWarning, PartitionError
@@ -73,6 +71,10 @@ DEFAULT_FRONT_POINTS = 9
 
 #: Hard ceiling on requested front points (protocol validation reuses it).
 MAX_FRONT_POINTS = 64
+
+#: Geometric knots per device of the interior sweep's piecewise-linear
+#: surrogate, before the models' measured sizes are added.
+_SURROGATE_GRID = 96
 
 #: Entries (devices x weights x knots) of the blended table the interior
 #: sweep holds at once (128 kB); more weights are swept in chunks, so the
@@ -233,8 +235,8 @@ class BlendedModel(PerformanceModel):
     ``time(x) = wt * t(x) + we * e(x)`` -- a valid
     :class:`PerformanceModel` (non-negative blends of increasing
     functions are increasing), so the existing partitioners invert it
-    unchanged.  Used by the ``method="exact"`` path and by tests as the
-    ground truth for the batched surrogate.
+    unchanged.  Tests use it as the ground truth for the batched
+    surrogate.
     """
 
     min_points = 0
@@ -433,8 +435,6 @@ def partition_pareto(
     tol: float = 1e-10,
     max_iter: int = 200,
     probes: int = 8,
-    grid: int = 96,
-    method: str = "fast",
     warm: bool = True,
     strict: bool = False,
     certs: Optional[List[ConvergenceCert]] = None,
@@ -449,16 +449,8 @@ def partition_pareto(
         npoints: scalarization weights swept, endpoints included.
         tol, max_iter, probes: bisection parameters, as in
             :func:`~repro.core.partition.geometric.partition_geometric`.
-        grid: knots of the piecewise-linear surrogate per device
-            (``method="fast"`` only).
-        method: ``"fast"`` batches all interior alphas through one
-            vectorized bisection on sampled blends; ``"exact"`` runs one
-            :func:`partition_geometric` per alpha on exact
-            :class:`BlendedModel` functions.  Endpoints are exact either
-            way.
-        warm: seed interior brackets from the solved endpoints (and
-            point-to-point in ``"exact"`` mode).  Disabling only costs
-            iterations -- results are bit-identical.
+        warm: seed interior brackets from the solved endpoints.
+            Disabling only costs iterations -- results are bit-identical.
         strict: raise :class:`~repro.errors.ConvergenceError` if any
             front point fails to converge (default: warn).
         certs: optional sink collecting every point's cert.
@@ -481,8 +473,6 @@ def partition_pareto(
         raise PartitionError(
             f"npoints must be within [2, {MAX_FRONT_POINTS}], got {npoints}"
         )
-    if method not in ("fast", "exact"):
-        raise PartitionError(f"unknown pareto method {method!r}")
     size = len(models)
 
     if total == 0:
@@ -524,23 +514,14 @@ def partition_pareto(
     ]
 
     # --- interior alphas -------------------------------------------------
+    # A single process has one distribution, so it has no interior.
     alphas = np.linspace(0.0, 1.0, npoints)[1:-1]
     if alphas.size and size > 1:
         t_scale, e_scale = _objective_scales(total, time_bank, energy_bank)
-        if method == "exact":
-            points.extend(_interior_exact(
-                total, time_bank, energy_bank, alphas[::-1], t_scale, e_scale,
-                tol, max_iter, probes, warm, strict, points[0],
-            ))
-        else:
-            points.extend(_interior_fast(
-                total, time_bank, energy_bank, alphas, t_scale, e_scale,
-                tol, max_iter, probes, grid, warm, strict,
-                points[0], points[1],
-            ))
-    elif alphas.size:
-        # Single process: every alpha yields the same trivial distribution.
-        pass
+        points.extend(_interior(
+            total, time_bank, energy_bank, alphas, t_scale, e_scale,
+            tol, max_iter, probes, warm, strict, points[0], points[1],
+        ))
 
     if certs is not None:
         certs.extend(p.cert for p in points if p.cert is not None)
@@ -580,54 +561,6 @@ def partition_pareto(
             continue
         pruned.append(p)
     return ParetoFront(total=total, points=tuple(pruned))
-
-
-def _interior_exact(
-    total: int,
-    time_bank: ModelBank,
-    energy_bank: ModelBank,
-    alphas: np.ndarray,
-    t_scale: float,
-    e_scale: float,
-    tol: float,
-    max_iter: int,
-    probes: int,
-    warm: bool,
-    strict: bool,
-    seed_point: ParetoPoint,
-) -> List[ParetoPoint]:
-    """Sequential exact solves, each warm-started from its neighbor."""
-    out: List[ParetoPoint] = []
-    prev = seed_point  # alphas arrive descending, nearest the time end
-    for alpha in alphas:
-        blended = [
-            BlendedModel(tm, em, wt=float(alpha) / t_scale,
-                         we=(1.0 - float(alpha)) / e_scale)
-            for tm, em in zip(time_bank.models, energy_bank.models)
-        ]
-        ws = None
-        if warm and prev is not None:
-            level = max(
-                b.time(d) for b, d in zip(blended, prev.sizes) if d > 0
-            )
-            if level > 0.0:
-                ws = WarmStart(total=total, level=level, sizes=prev.sizes)
-        dist = partition_geometric(
-            total, blended, tol=tol, max_iter=max_iter, probes=probes,
-            strict=strict, warm_start=ws,
-        )
-        times, t, e = _evaluate_point(dist.sizes, time_bank, energy_bank)
-        cert = dataclass_replace(
-            dist.convergence, algorithm="pareto",
-            detail=f"alpha={float(alpha):g} exact blend",
-        )
-        point = ParetoPoint(
-            sizes=tuple(dist.sizes), times=times, time=t, energy=e,
-            alpha=float(alpha), cert=cert,
-        )
-        out.append(point)
-        prev = point
-    return out
 
 
 def _sweep(
@@ -687,7 +620,7 @@ def _sweep(
     return lo, hi, tol_k, iterations
 
 
-def _interior_fast(
+def _interior(
     total: int,
     time_bank: ModelBank,
     energy_bank: ModelBank,
@@ -697,7 +630,6 @@ def _interior_fast(
     tol: float,
     max_iter: int,
     probes: int,
-    grid: int,
     warm: bool,
     strict: bool,
     time_point: ParetoPoint,
@@ -716,7 +648,7 @@ def _interior_fast(
     p = time_bank.size
     wt = alphas / t_scale
     we = (1.0 - alphas) / e_scale
-    surrogate = _Surrogate(time_bank, energy_bank, cap, grid)
+    surrogate = _Surrogate(time_bank, energy_bank, cap, _SURROGATE_GRID)
     hints = None
     if warm:
         # Seed brackets from the exact endpoint solutions: the balanced

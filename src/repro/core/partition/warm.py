@@ -26,7 +26,7 @@ bisection invariant before they replace the cold bracket ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class WarmStart:
         any FPM shape).
         """
         return self.level * float(total) / float(self.total)
-
-    def scaled_sizes(self, total: int) -> List[float]:
-        """Continuous per-process shares rescaled to sum to ``total``."""
-        src = float(sum(self.sizes))
-        if src <= 0.0:
-            n = max(len(self.sizes), 1)
-            return [float(total) / n] * len(self.sizes)
-        return [d * float(total) / src for d in self.sizes]
 
 
 def warm_start_from(dist, total: int = 0) -> WarmStart:

@@ -19,8 +19,10 @@ with the average of the two central secants when the denominator vanishes,
 and two quadratically extrapolated secants appended at each boundary.  Each
 interval then carries a cubic Hermite polynomial whose coefficients are
 precomputed once as arrays, so both scalar calls and
-:meth:`evaluate_batch` (one ``searchsorted`` + Horner over the whole input
-array) read the same numbers.
+:meth:`~HermiteSpline.evaluate_batch` (one ``searchsorted`` + Horner over
+the whole input array) read the same numbers.  That evaluator,
+:class:`HermiteSpline`, is shared with the PCHIP interpolant
+(:mod:`repro.interp.pchip`), which differs only in its knot slopes.
 """
 
 from __future__ import annotations
@@ -59,14 +61,16 @@ def hermite_interval_coeffs(
     return a, b, c, d
 
 
-class AkimaSpline:
-    """Akima cubic spline through a set of (x, y) points.
+class HermiteSpline:
+    """Cubic Hermite spline through a set of (x, y) points.
 
-    Requires at least two distinct abscissae.  With exactly two the spline
-    degenerates to the straight line through them (Akima's slopes reduce to
-    the single secant).  Duplicate ``x`` values are merged by averaging;
-    input that is already sorted and duplicate-free takes a fast path that
-    skips the merge and sort.
+    Subclasses only choose the slope at every knot
+    (:meth:`_compute_slopes`); the interval cubics and every evaluation
+    path are shared.
+
+    Requires at least two distinct abscissae.  Duplicate ``x`` values are
+    merged by averaging; input that is already sorted and duplicate-free
+    takes a fast path that skips the merge and sort.
 
     Evaluation outside the data range continues the boundary cubic
     polynomials (linear in practice, since the Hermite cubic is evaluated
@@ -82,7 +86,8 @@ class AkimaSpline:
         xs, ys = prepare_points(points)
         if len(xs) < 2:
             raise InterpolationError(
-                f"AkimaSpline requires at least 2 distinct points, got {len(xs)}"
+                f"{type(self).__name__} requires at least 2 distinct points, "
+                f"got {len(xs)}"
             )
         self._xs: List[float] = xs
         self._ys: List[float] = ys
@@ -96,32 +101,8 @@ class AkimaSpline:
 
     @staticmethod
     def _compute_slopes(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
-        """Akima slopes at every knot, with quadratic boundary extension."""
-        n = len(xs)
-        # Secant slopes m[0..n-2]; extend by two on each side:
-        # m[-1] = 2 m[0] - m[1], m[-2] = 2 m[-1] - m[0]  (and mirrored right).
-        m = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(n - 1)]
-        if n == 2:
-            return [m[0], m[0]]
-        ext = [0.0, 0.0] + m + [0.0, 0.0]
-        ext[1] = 2.0 * m[0] - m[1]
-        ext[0] = 2.0 * ext[1] - m[0]
-        ext[-2] = 2.0 * m[-1] - m[-2]
-        ext[-1] = 2.0 * ext[-2] - m[-1]
-        slopes: List[float] = []
-        for i in range(n):
-            # ext index of secant m_{i} is i + 2.
-            m_im2 = ext[i]
-            m_im1 = ext[i + 1]
-            m_i = ext[i + 2]
-            m_ip1 = ext[i + 3]
-            w1 = abs(m_ip1 - m_i)
-            w2 = abs(m_im1 - m_im2)
-            if w1 + w2 == 0.0:
-                slopes.append(0.5 * (m_im1 + m_i))
-            else:
-                slopes.append((w1 * m_im1 + w2 * m_i) / (w1 + w2))
-        return slopes
+        """The spline's slope at every knot."""
+        raise NotImplementedError
 
     @property
     def xs(self) -> Sequence[float]:
@@ -192,11 +173,49 @@ class AkimaSpline:
         u = xs - self._xs_arr[i]
         return self._cb[i] + u * (2.0 * self._cc[i] + 3.0 * self._cd[i] * u)
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({len(self._xs)} points, x in [{self._xs[0]}, {self._xs[-1]}])"
+
+
+class AkimaSpline(HermiteSpline):
+    """Akima cubic spline through a set of (x, y) points.
+
+    With exactly two distinct abscissae the spline degenerates to the
+    straight line through them (Akima's slopes reduce to the single
+    secant).
+    """
+
+    @staticmethod
+    def _compute_slopes(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
+        """Akima slopes at every knot, with quadratic boundary extension."""
+        n = len(xs)
+        # Secant slopes m[0..n-2]; extend by two on each side:
+        # m[-1] = 2 m[0] - m[1], m[-2] = 2 m[-1] - m[0]  (and mirrored right).
+        m = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(n - 1)]
+        if n == 2:
+            return [m[0], m[0]]
+        ext = [0.0, 0.0] + m + [0.0, 0.0]
+        ext[1] = 2.0 * m[0] - m[1]
+        ext[0] = 2.0 * ext[1] - m[0]
+        ext[-2] = 2.0 * m[-1] - m[-2]
+        ext[-1] = 2.0 * ext[-2] - m[-1]
+        slopes: List[float] = []
+        for i in range(n):
+            # ext index of secant m_{i} is i + 2.
+            m_im2 = ext[i]
+            m_im1 = ext[i + 1]
+            m_i = ext[i + 2]
+            m_ip1 = ext[i + 3]
+            w1 = abs(m_ip1 - m_i)
+            w2 = abs(m_im1 - m_im2)
+            if w1 + w2 == 0.0:
+                slopes.append(0.5 * (m_im1 + m_i))
+            else:
+                slopes.append((w1 * m_im1 + w2 * m_i) / (w1 + w2))
+        return slopes
+
     def with_point(self, x: float, y: float) -> "AkimaSpline":
         """Return a new spline with one extra point added."""
         pts = list(zip(self._xs, self._ys))
         pts.append((x, y))
         return AkimaSpline(pts, min_y=self._min_y)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AkimaSpline({len(self._xs)} points, x in [{self._xs[0]}, {self._xs[-1]}])"

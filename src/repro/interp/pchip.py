@@ -23,46 +23,18 @@ Construction (Fritsch--Carlson):
 
 from __future__ import annotations
 
-import bisect
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
-import numpy as np
-
-from repro.errors import InterpolationError
-from repro.interp._points import prepare_points
-from repro.interp.akima import hermite_interval_coeffs
+from repro.interp.akima import HermiteSpline
 
 
-class PchipSpline:
+class PchipSpline(HermiteSpline):
     """Monotonicity-preserving cubic interpolant through (x, y) points.
 
-    Requires at least two distinct abscissae; duplicates are merged by
-    averaging (already-sorted duplicate-free input skips the merge/sort
-    pass).  Outside the data range the boundary cubic is continued
-    (effectively linear with the boundary slope); results are clamped
-    below at ``min_y``.  Per-interval cubic coefficients are precomputed
-    as arrays, shared by scalar calls and :meth:`evaluate_batch`.
+    Construction, clamping and evaluation are those of
+    :class:`~repro.interp.akima.HermiteSpline`; only the knot slopes
+    (Fritsch--Carlson) are PCHIP's own.
     """
-
-    def __init__(
-        self,
-        points: Iterable[Tuple[float, float]],
-        min_y: float = 1e-12,
-    ) -> None:
-        xs, ys = prepare_points(points)
-        if len(xs) < 2:
-            raise InterpolationError(
-                f"PchipSpline requires at least 2 distinct points, got {len(xs)}"
-            )
-        self._xs: List[float] = xs
-        self._ys: List[float] = ys
-        self._min_y = float(min_y)
-        self._slopes = self._compute_slopes(self._xs, self._ys)
-        self._xs_arr = np.asarray(xs, dtype=float)
-        self._ys_arr = np.asarray(ys, dtype=float)
-        self._ca, self._cb, self._cc, self._cd = hermite_interval_coeffs(
-            self._xs_arr, self._ys_arr, np.asarray(self._slopes, dtype=float)
-        )
 
     @staticmethod
     def _compute_slopes(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
@@ -93,69 +65,3 @@ class PchipSpline:
         if m0 * m1 < 0.0 and abs(d) > 3.0 * abs(m0):
             return 3.0 * m0
         return d
-
-    @property
-    def xs(self) -> Sequence[float]:
-        """The sorted, de-duplicated abscissae."""
-        return tuple(self._xs)
-
-    @property
-    def ys(self) -> Sequence[float]:
-        """Ordinates corresponding to :attr:`xs`."""
-        return tuple(self._ys)
-
-    def __len__(self) -> int:
-        return len(self._xs)
-
-    def _interval(self, x: float) -> int:
-        xs = self._xs
-        if x <= xs[0]:
-            return 0
-        if x >= xs[-1]:
-            return len(xs) - 2
-        return bisect.bisect_right(xs, x) - 1
-
-    def _coeffs(self, i: int) -> Tuple[float, float, float, float, float]:
-        return (
-            self._xs[i],
-            float(self._ca[i]),
-            float(self._cb[i]),
-            float(self._cc[i]),
-            float(self._cd[i]),
-        )
-
-    def __call__(self, x: float) -> float:
-        """Evaluate the interpolant at ``x``."""
-        x0, a, b, c, d = self._coeffs(self._interval(x))
-        u = x - x0
-        return max(a + u * (b + u * (c + u * d)), self._min_y)
-
-    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate the interpolant at an array of abscissae at once.
-
-        Matches scalar evaluation exactly: same interval rule, same
-        precomputed coefficients, one ``searchsorted`` for the whole array.
-        """
-        xs = np.asarray(xs, dtype=float)
-        n = len(self._xs)
-        i = np.clip(np.searchsorted(self._xs_arr, xs, side="right") - 1, 0, n - 2)
-        u = xs - self._xs_arr[i]
-        y = self._ca[i] + u * (self._cb[i] + u * (self._cc[i] + u * self._cd[i]))
-        return np.maximum(y, self._min_y)
-
-    def derivative(self, x: float) -> float:
-        """First derivative at ``x`` (continuous everywhere)."""
-        x0, _a, b, c, d = self._coeffs(self._interval(x))
-        u = x - x0
-        return b + u * (2.0 * c + 3.0 * d * u)
-
-    def derivative_batch(self, xs: np.ndarray) -> np.ndarray:
-        """First derivative at an array of abscissae at once."""
-        xs = np.asarray(xs, dtype=float)
-        n = len(self._xs)
-        i = np.clip(np.searchsorted(self._xs_arr, xs, side="right") - 1, 0, n - 2)
-        u = xs - self._xs_arr[i]
-        return self._cb[i] + u * (2.0 * self._cc[i] + 3.0 * self._cd[i] * u)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PchipSpline({len(self._xs)} points, x in [{self._xs[0]}, {self._xs[-1]}])"

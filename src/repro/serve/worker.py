@@ -46,13 +46,17 @@ routing and scaling results measured against it are real queueing
 behaviour, not arithmetic.
 
 Shutdown: SIGTERM/SIGINT drain in-flight solves and compact the WAL;
-SIGKILL is the crash case the WAL recovers from on restart.
+SIGKILL is the crash case the WAL recovers from on restart.  A worker
+whose supervisor dies without stopping it (SIGKILL, OOM) notices within
+about half a second that it has been re-parented and shuts down the
+same way, so it neither keeps its port nor appends to its WAL.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 import threading
@@ -69,6 +73,9 @@ from repro.serve.replicate import PlanReplicator
 from repro.serve.server import PlanServer
 from repro.serve.shard import ShardClient
 from repro.serve.stack import add_stack_flags, build_stack
+
+#: Seconds between checks, while serving, that the supervisor is alive.
+_SUPERVISOR_POLL_S = 0.5
 
 
 class SiblingFill:
@@ -239,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Worker entry point: serve until SIGTERM/SIGINT."""
+    """Worker entry point: serve until SIGTERM/SIGINT or the supervisor dies."""
+    supervisor = os.getppid()
     args = build_parser().parse_args(argv)
 
     opener = None
@@ -328,7 +336,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for sig in (signal.SIGTERM, signal.SIGINT):
         signal.signal(sig, _on_signal)
-    stop.wait()
+    while not stop.wait(_SUPERVISOR_POLL_S):
+        if os.getppid() != supervisor:
+            log(f"supervisor {supervisor} is gone; shutting down")
+            break
 
     frontend.stop()
     replicator.close()

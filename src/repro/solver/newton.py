@@ -22,6 +22,9 @@ import numpy as np
 
 from repro.errors import SolverError
 
+#: Maximum halvings of the Newton step in the backtracking line search.
+_DAMPING_STEPS = 30
+
 
 @dataclass(frozen=True)
 class NewtonResult:
@@ -65,7 +68,6 @@ def newton_system(
     max_iter: int = 100,
     lower: Optional[Sequence[float]] = None,
     upper: Optional[Sequence[float]] = None,
-    damping_steps: int = 30,
 ) -> NewtonResult:
     """Solve ``f(x) = 0`` by damped Newton iteration.
 
@@ -77,7 +79,6 @@ def newton_system(
         max_iter: maximum Newton iterations.
         lower/upper: optional elementwise bounds; iterates are projected
             into the box after every step.
-        damping_steps: maximum halvings in the backtracking line search.
 
     Returns:
         A :class:`NewtonResult`.  ``converged`` is False when the iteration
@@ -115,7 +116,7 @@ def newton_system(
         # Backtracking line search on the residual norm.
         alpha = 1.0
         improved = False
-        for _ in range(damping_steps):
+        for _ in range(_DAMPING_STEPS):
             x_new = project(x + alpha * step)
             fx_new = np.asarray(f(x_new), dtype=float)
             norm_new = float(np.max(np.abs(fx_new)))

@@ -234,6 +234,24 @@ def wait_for_url(proc: subprocess.Popen, timeout: float = 60.0) -> str:
     return found["url"]
 
 
+def worker_pids(pid: int) -> list:
+    """PIDs of the fleet workers among a process's children (Linux)."""
+    children = Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    return [
+        int(child) for child in children
+        if b"repro.serve.worker" in Path(f"/proc/{child}/cmdline").read_bytes()
+    ]
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 @pytest.mark.fleet
 class TestFleetEntryPath:
     def test_serve_workers_runs_shards_with_the_given_flags(
@@ -298,3 +316,49 @@ class TestFleetEntryPath:
                 assert 1 <= len(compacted) <= 2, sid
             finally:
                 compacted.wal.close()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="finds the workers through /proc")
+    def test_workers_exit_when_the_supervisor_is_killed(
+        self, points_dir, tmp_path
+    ):
+        caches = tmp_path / "caches"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--points", str(points_dir), "--workers", "2", "--http",
+             "--port", "0", "--cache-file", str(caches)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env, cwd=str(REPO_ROOT),
+        )
+        workers: list = []
+        try:
+            client = ShardClient(wait_for_url(proc), timeout=30.0)
+            try:
+                for total in range(1000, 1400, 100):
+                    reply = client.plan({"cmd": "plan", "total": total})
+                    assert sum(reply["sizes"]) == total, reply
+            finally:
+                client.close()
+            workers = worker_pids(proc.pid)
+            assert len(workers) == 2, workers
+            # No SIGTERM: the supervisor dies without stopping anyone.
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 15.0
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+        # The orphaned shards took the SIGTERM path: WALs compacted.
+        for sid in ("shard0", "shard1"):
+            snapshot = caches / f"{sid}.plans"
+            wal = caches / f"{sid}.plans.wal"
+            assert snapshot.exists() and wal.stat().st_size == 0, sid
