@@ -33,7 +33,8 @@ def partition_constant(
 
     Args:
         total: the problem size ``D`` in computation units.
-        models: one performance model per process (each must be ready).
+        models: one performance model per process (each must be ready),
+            or a :class:`~repro.core.partition.batch.ModelBank` over them.
         strict: accepted for interface uniformity with the iterative
             partitioners; the basic algorithm is closed-form and its cert
             is always converged.
@@ -44,7 +45,7 @@ def partition_constant(
         A :class:`Distribution` whose parts sum exactly to ``total``, with
         predicted times from the models.
     """
-    bank = ModelBank(models)
+    bank = ModelBank.of(models)
     total = validate_partition_inputs(total, models, bank)
     size = len(models)
     _cert = ConvergenceCert("basic", True, 0, 0, 0.0, 0.0,

@@ -1,9 +1,9 @@
-"""The model bank: every model of one solve, evaluated in one numpy call.
+"""The model bank: every model of a model set, evaluated in one numpy call.
 
 The partitioning algorithms repeatedly evaluate *p* per-process time
 functions and, in the geometrical algorithm, invert all of them at every
-probed time level.  A :class:`ModelBank` is built once per model list per
-solve and does both for every device at once:
+probed time level.  A :class:`ModelBank` stacks one model list and does
+both for every device at once:
 
 * :meth:`ModelBank.allocations` -- every model's allocation at every time
   level, a ``(p, m)`` array (the inner operation of the geometrical
@@ -20,10 +20,15 @@ does every other model (Akima, PCHIP, segmented, linear, blends,
 duck-typed models): those rows call the model's own ``allocation_batch``,
 ``time`` and ``time_batch``.  Either way a row's answer is bit-identical
 to the per-model call.
+
+A bank is itself a sequence of its models, and every partitioner takes
+one in place of the model list, so a caller that solves the same models
+again (the plan engine, between refits) stacks and validates them once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -45,19 +50,40 @@ def _stackable(cls: type) -> bool:
     )
 
 
-class ModelBank:
-    """The models of one solve, stacked for vectorised evaluation.
+class ModelBank(SequenceABC):
+    """A model list, stacked for vectorised evaluation.
 
     The stacking is built on first use, so a bank can be handed to input
-    validation before the models are known to be fitted.
+    validation before the models are known to be fitted.  It snapshots
+    the stacked rows' fits, so it answers for the models as they were
+    then: a caller reusing a bank must drop it once a model changes.
+    Once built it is only read, so threads may share it.
     """
 
     def __init__(self, models: Sequence[PerformanceModel]) -> None:
-        self.models = models
+        self.models = tuple(models)
+        #: Set by :func:`~repro.core.partition.validate.validate_partition_inputs`
+        #: once the models have passed its per-model checks, which a
+        #: reused bank then skips.
+        self.checked = False
         self._table: Optional[LevelTable] = None
         self._rows = np.zeros(0, dtype=np.intp)
         self._fallback: List[int] = []
         self._built = False
+
+    @classmethod
+    def of(cls, models: Sequence[PerformanceModel]) -> "ModelBank":
+        """``models`` itself when it is a bank already, else a new bank."""
+        return models if isinstance(models, ModelBank) else cls(models)
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+    def __getitem__(self, index):
+        return self.models[index]
+
+    def __iter__(self):
+        return iter(self.models)
 
     @property
     def size(self) -> int:
@@ -68,15 +94,18 @@ class ModelBank:
         if self._built:
             return
         verdicts: Dict[type, bool] = {}
-        rows = []
+        rows: List[int] = []
+        fallback: List[int] = []
         for i, model in enumerate(self.models):
             cls = type(model)
             if cls not in verdicts:
                 verdicts[cls] = _stackable(cls)
-            (rows if verdicts[cls] else self._fallback).append(i)
+            (rows if verdicts[cls] else fallback).append(i)
         if rows:
+            # A fit that raises leaves the bank unbuilt, to try again.
             self._table = LevelTable([self.models[i].level_knots() for i in rows])
             self._rows = np.asarray(rows, dtype=np.intp)
+        self._fallback = fallback
         self._built = True
 
     def allocations(

@@ -85,7 +85,10 @@ def partition_geometric(
         total: the problem size ``D`` in computation units.
         models: one performance model per process; their time functions
             should be (close to) strictly increasing.  The piecewise FPM
-            guarantees this by coarsening.
+            guarantees this by coarsening.  A
+            :class:`~repro.core.partition.batch.ModelBank` over them is
+            solved on as it is, stacked and checked once for all the
+            solves it serves.
         tol: relative tolerance on the bisection bracket.
         max_iter: maximum bisection steps.
         trace: optional list; when given, every probed level is appended as
@@ -110,7 +113,7 @@ def partition_geometric(
     Returns:
         A :class:`Distribution` summing exactly to ``total``.
     """
-    bank = ModelBank(models)
+    bank = ModelBank.of(models)
     total = validate_partition_inputs(total, models, bank)
     return solve_geometric(
         total, bank, tol=tol, max_iter=max_iter, trace=trace, probes=probes,
@@ -199,8 +202,9 @@ def solve_geometric(
         levels = lo + (hi - lo) * fractions
         allocs = bank.allocations(levels, cap, alloc_lo, alloc_hi)
         residuals = allocs.sum(axis=0) - cap
-        for j in range(levels.size):
-            record(float(levels[j]), allocs[:, j], float(residuals[j]))
+        if trace is not None:
+            for j in range(levels.size):
+                record(float(levels[j]), allocs[:, j], float(residuals[j]))
         hit = np.flatnonzero(residuals == 0.0)
         if hit.size:
             level = float(levels[hit[0]])

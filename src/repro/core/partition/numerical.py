@@ -89,7 +89,9 @@ def partition_numerical(
         total: the problem size ``D`` in computation units.
         models: one performance model per process.  Models exposing a
             ``time_derivative`` method (the Akima FPM) get an analytic
-            Jacobian; others fall back to finite differences.
+            Jacobian; others fall back to finite differences.  A
+            :class:`~repro.core.partition.batch.ModelBank` over them is
+            solved on as it is.
         tol: residual tolerance (seconds / units, mixed system).
         max_iter: Newton iteration cap.
         strict: raise :class:`~repro.errors.ConvergenceError` when both
@@ -109,7 +111,7 @@ def partition_numerical(
     Returns:
         A :class:`Distribution` summing exactly to ``total``.
     """
-    bank = ModelBank(models)
+    bank = ModelBank.of(models)
     total = validate_partition_inputs(total, models, bank)
     size = len(models)
     if total == 0:

@@ -106,9 +106,13 @@ class ParetoPoint:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly representation (floats via ``repr`` for fidelity)."""
+        return self._dict([repr(t) for t in self.times])
+
+    def _dict(self, times: List[str]) -> Dict[str, Any]:
+        """:meth:`to_dict` with the per-rank ``times`` already rendered."""
         out: Dict[str, Any] = {
             "sizes": list(self.sizes),
-            "times": [repr(t) for t in self.times],
+            "times": times,
             "time": repr(self.time),
             "energy": repr(self.energy),
             "alpha": repr(self.alpha),
@@ -337,8 +341,9 @@ class _Surrogate:
     """
 
     def __init__(
-        self, time_bank: ModelBank, energy_bank: ModelBank, cap: float, grid: int
+        self, time_bank: ModelBank, energy_bank: ModelBank, cap: float
     ) -> None:
+        grid = _SURROGATE_GRID
         measured = [
             [pt.d for m in pair for pt in getattr(m, "points", ())]
             for pair in zip(time_bank.models, energy_bank.models)
@@ -446,6 +451,8 @@ def partition_pareto(
         total: problem size ``D`` in computation units.
         models: per-rank time models (seconds).
         energy_models: per-rank energy models (joules), same length.
+            Either list may be a
+            :class:`~repro.core.partition.batch.ModelBank` over them.
         npoints: scalarization weights swept, endpoints included.
         tol, max_iter, probes: bisection parameters, as in
             :func:`~repro.core.partition.geometric.partition_geometric`.
@@ -461,8 +468,8 @@ def partition_pareto(
         A :class:`ParetoFront`; its time-endpoint is bit-identical to
         ``partition_geometric(total, models)``.
     """
-    time_bank = ModelBank(models)
-    energy_bank = ModelBank(energy_models)
+    time_bank = ModelBank.of(models)
+    energy_bank = ModelBank.of(energy_models)
     total = validate_partition_inputs(total, models, time_bank)
     validate_partition_inputs(total, energy_models, energy_bank)
     if len(models) != len(energy_models):
@@ -648,7 +655,7 @@ def _interior(
     p = time_bank.size
     wt = alphas / t_scale
     we = (1.0 - alphas) / e_scale
-    surrogate = _Surrogate(time_bank, energy_bank, cap, _SURROGATE_GRID)
+    surrogate = _Surrogate(time_bank, energy_bank, cap)
     hints = None
     if warm:
         # Seed brackets from the exact endpoint solutions: the balanced

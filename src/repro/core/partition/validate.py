@@ -17,6 +17,9 @@ Checks, in order:
    total: it must evaluate to a finite non-negative time at ``total``.
    A model that raises or yields NaN there has a domain that excludes
    the partition range -- a benchmark/partition mismatch.
+
+Check 3 depends on the models alone, so it runs once per
+:class:`~repro.core.partition.batch.ModelBank`; check 4 runs per total.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ def validate_partition_inputs(total, models: Sequence, bank=None) -> int:
     The times at ``total`` are evaluated in one call of ``bank`` (a
     :class:`~repro.core.partition.batch.ModelBank` over ``models``; one
     is built when none is given), so a partitioner that solves on a
-    bank validates on the same one.
+    bank validates on the same one.  A bank whose models passed the
+    point-count check before is not checked again.
     """
     if not models:
         raise PartitionError(
@@ -83,18 +87,20 @@ def validate_partition_inputs(total, models: Sequence, bank=None) -> int:
     n = validate_total(total)
     if n == 0:
         return n
-    for rank, model in enumerate(models):
-        count = len(getattr(model, "points", ()))
-        needed = getattr(model, "min_points", 1)
-        if count < needed:
-            raise PartitionError(
-                f"model for rank {rank} has {count} measured point(s) but "
-                f"needs at least {needed} to fit; benchmark more problem "
-                "sizes for this device or fall back to a simpler model "
-                "(e.g. 'constant')"
-            )
     if bank is None:
         bank = ModelBank(models)
+    if not bank.checked:
+        for rank, model in enumerate(models):
+            count = len(getattr(model, "points", ()))
+            needed = getattr(model, "min_points", 1)
+            if count < needed:
+                raise PartitionError(
+                    f"model for rank {rank} has {count} measured point(s) but "
+                    f"needs at least {needed} to fit; benchmark more problem "
+                    "sizes for this device or fall back to a simpler model "
+                    "(e.g. 'constant')"
+                )
+        bank.checked = True
     try:
         times = bank.times(np.full(len(models), float(n)))
     except Exception:

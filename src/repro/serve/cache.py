@@ -16,19 +16,21 @@ inserts, evictions and expirations so tests and benchmarks can assert the
 serving contract ("repeated identical requests never recompute") on the
 counters rather than on timing.
 
-A secondary index by model-set fingerprint supports
+A sorted index of the totals of each (model set, plan kind) supports
 :meth:`PlanCache.nearest` -- the warm-start lookup: "the cached plan for
-these same devices whose total is closest to mine".
+these same devices whose total is closest to mine" -- by bisection.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
 import json
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import PartitionError
 from repro.serve.plan import PlanResult
@@ -187,7 +189,8 @@ class PlanCache:
         self._clock = clock
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._by_models: Dict[str, Set[str]] = {}
+        #: ``(total, key)`` of every entry, sorted, per (model set, kind).
+        self._totals: Dict[Tuple[str, str], List[Tuple[int, str]]] = {}
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -200,11 +203,11 @@ class PlanCache:
     def _drop(self, key: str) -> None:
         entry = self._entries.pop(key)
         self._bytes -= entry.nbytes
-        peers = self._by_models.get(entry.models_fp)
-        if peers is not None:
-            peers.discard(key)
-            if not peers:
-                del self._by_models[entry.models_fp]
+        slot = (entry.models_fp, entry.result.kind)
+        totals = self._totals[slot]
+        del totals[bisect.bisect_left(totals, (entry.result.total, key))]
+        if not totals:
+            del self._totals[slot]
 
     def _expired(self, entry: _Entry, now: float) -> bool:
         return self._ttl is not None and now - entry.stored_at > self._ttl
@@ -272,8 +275,8 @@ class PlanCache:
     ) -> None:
         """Store ``result`` under ``key``, evicting as needed.
 
-        ``models_fp`` feeds the secondary warm-start index; pass the
-        model-set fingerprint the plan was computed against.  ``spec``
+        ``models_fp`` feeds the warm-start index; pass the model-set
+        fingerprint the plan was computed against.  ``spec``
         optionally records the ``(total, partitioner, options[, kind])``
         the plan answers, so a model refit can re-solve invalidated
         entries (:meth:`invalidate_models`) without reverse-engineering
@@ -293,11 +296,16 @@ class PlanCache:
             if key in self._entries:
                 self._drop(key)
             nbytes = _estimate_bytes(result)
+            # A copy: a miss's result carries its float text for the
+            # encodings of that miss, which the cached plan does not keep.
             self._entries[key] = _Entry(
-                result, models_fp, self._clock(), nbytes, spec
+                copy.copy(result), models_fp, self._clock(), nbytes, spec
             )
             self._bytes += nbytes
-            self._by_models.setdefault(models_fp, set()).add(key)
+            bisect.insort(
+                self._totals.setdefault((models_fp, result.kind), []),
+                (result.total, key),
+            )
             self._inserts += 1
             self._evict_for_space()
 
@@ -316,32 +324,44 @@ class PlanCache:
         the smaller total (conservative bracket).  Only plans of the same
         ``kind`` are considered: a pareto front's selected point sits at
         some blend of time and energy, so its level would mis-seed a
-        time-only bisection (and vice versa).  Returns None when no live
-        same-kind plan for ``models_fp`` exists.
+        time-only bisection (and vice versa).  Plans with a total of 0
+        and the ``exclude`` key are never returned.  Returns None when no
+        live same-kind plan for ``models_fp`` exists.
+
+        The index is bisected at ``total`` and probed outwards, nearest
+        first, so only the entries closer than the answer are met; an
+        expired one met on the way is evicted and counted, as ``get``
+        would.
         """
         with self._lock:
-            keys = self._by_models.get(models_fp)
-            if not keys:
+            totals = self._totals.get((models_fp, kind))
+            if not totals:
                 return None
             now = self._clock()
-            best: Optional[_Entry] = None
-            best_key: Optional[str] = None
-            # _live_entry evicts expired entries, mutating the index set;
-            # iterate a copy.
-            for key in list(keys):
-                entry = self._live_entry(key, now)
-                if entry is None or key == exclude or entry.result.total <= 0:
-                    continue
-                if entry.result.kind != kind:
-                    continue
-                if best is None or (
-                    abs(entry.result.total - total),
-                    entry.result.total,
-                ) < (abs(best.result.total - total), best.result.total):
-                    best, best_key = entry, key
-            if best_key is not None:
-                self._entries.move_to_end(best_key)
-            return best.result if best is not None else None
+            expired: List[str] = []
+            found: Optional[_Entry] = None
+            right = bisect.bisect_left(totals, (total, ""))
+            left = right - 1
+            while left >= 0 or right < len(totals):
+                if right == len(totals) or (
+                    left >= 0 and total - totals[left][0] <= totals[right][0] - total
+                ):
+                    at, key = totals[left]
+                    left -= 1
+                else:
+                    at, key = totals[right]
+                    right += 1
+                entry = self._entries[key]
+                if self._expired(entry, now):
+                    expired.append(key)
+                elif key != exclude and at > 0:
+                    found = entry
+                    self._entries.move_to_end(key)
+                    break
+            for key in expired:
+                self._drop(key)
+                self._expirations += 1
+            return found.result if found is not None else None
 
     def export_entry(
         self, key: str
@@ -398,7 +418,7 @@ class PlanCache:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
-            self._by_models.clear()
+            self._totals.clear()
             self._bytes = 0
 
     def stats(self) -> CacheStats:

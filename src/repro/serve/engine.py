@@ -23,16 +23,23 @@ Given a model set and a total it:
 
 The engine is deliberately model-set agnostic: callers pass the models
 with every request (the dynamic loops refit them between calls), and the
-fingerprint keeps cache identity honest across mutation.
+fingerprint keeps cache identity honest across mutation.  It solves on a
+:class:`~repro.core.partition.batch.ModelBank` it keeps for the speed
+models and one for the energy models, stacked and checked once per model
+set: a refit, an in-place ``update`` or a lineage swap changes the set's
+fingerprint and gets a fresh bank.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
+import operator
 import time
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core import registry
+from repro.core.partition.batch import ModelBank
 from repro.core.partition.dist import Distribution
 from repro.core.partition.pareto import DEFAULT_FRONT_POINTS, partition_pareto
 from repro.core.partition.warm import WarmStart
@@ -42,6 +49,15 @@ from repro.serve.breaker import BreakerBoard
 from repro.serve.cache import PlanCache
 from repro.serve.fingerprint import fingerprint_models
 from repro.serve.plan import PlanRequest, PlanResult, ServeCounters
+
+
+@functools.lru_cache(maxsize=64)
+def _takes_warm_start(fn) -> bool:
+    """Whether partitioner ``fn`` accepts a ``warm_start`` seed."""
+    try:
+        return "warm_start" in inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return False
 
 
 class PlanEngine:
@@ -102,6 +118,33 @@ class PlanEngine:
         self.breakers = breakers
         self.sibling_fill = sibling_fill
         self.on_commit = on_commit
+        # ``role -> (model-set fingerprint, bank)``: the bank of the speed
+        # models and of the energy models last solved, nothing older.
+        self._banks: Dict[str, Tuple[str, ModelBank]] = {}
+
+    def _bank(self, role: str, models: Sequence, fp: str) -> ModelBank:
+        """The bank to solve ``models`` (fingerprint ``fp``) on.
+
+        The held bank of ``role`` when it was built for this fingerprint
+        from these very model objects: equal digests mean equal fitted
+        state, and the same objects mean the bank's per-model rows are
+        the models passed.  Otherwise a fresh bank, held in place of the
+        old one (which lets a retired model set go) unless a model has
+        no ``version`` counter, whose fingerprint cannot vouch for it.
+        """
+        held = self._banks.get(role)
+        if held is not None and held[0] == fp:
+            bank = held[1]
+            if len(bank) == len(models) and all(
+                map(operator.is_, bank.models, models)
+            ):
+                return bank
+        bank = ModelBank(models)
+        if all(getattr(m, "version", None) is not None for m in bank.models):
+            self._banks[role] = (fp, bank)
+        else:
+            self._banks.pop(role, None)
+        return bank
 
     # -- request construction ---------------------------------------------
 
@@ -241,7 +284,10 @@ class PlanEngine:
                 warm_used = True
         start = time.perf_counter()
         front = partition_pareto(
-            request.total, models, energy_models, npoints=npoints, **kwargs
+            request.total,
+            self._bank("speed", models, request.models_fp),
+            self._bank("energy", energy_models, request.energy_fp),
+            npoints=npoints, **kwargs,
         )
         elapsed = time.perf_counter() - start
         self.counters.computations += 1
@@ -295,11 +341,7 @@ class PlanEngine:
         fn = registry.partitioner(request.partitioner)
         kwargs = request.option_dict()
         warm_used = False
-        try:
-            params = inspect.signature(fn).parameters
-        except (TypeError, ValueError):
-            params = {}
-        if "warm_start" in params and "warm_start" not in kwargs:
+        if _takes_warm_start(fn) and "warm_start" not in kwargs:
             hint = self._warm_hint(request)
             if hint is not None:
                 kwargs["warm_start"] = hint
@@ -307,7 +349,10 @@ class PlanEngine:
         degraded = ""
         start = time.perf_counter()
         try:
-            dist = fn(request.total, models, **kwargs)
+            dist = fn(
+                request.total, self._bank("speed", models, request.models_fp),
+                **kwargs,
+            )
         except _FALLBACK_TRIGGERS as exc:
             if breaker is not None:
                 breaker.record_failure()
@@ -402,6 +447,8 @@ class PlanEngine:
                 return filled.replace(cached=True)
         result, cacheable = self._solve(request, models, energy_models)
         if cacheable:
+            # Journal record, byte estimate and reply: one rendering.
+            result._keep_float_text()
             self.cache.put(request.key, result, request.models_fp, spec=spec)
             if self.on_commit is not None:
                 try:

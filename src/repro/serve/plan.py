@@ -118,6 +118,20 @@ class PlanRequest:
         return dict(self.objective)
 
 
+def _render_float_text(result: "PlanResult") -> Tuple[Tuple[str, ...], ...]:
+    """The ``repr`` of every per-rank time :meth:`PlanResult.to_dict` emits.
+
+    One tuple for the plan's own times, then one per front point (the
+    point the plan was selected from shares the plan's).  Rendering them
+    is most of an encoding's cost.
+    """
+    own = tuple(map(repr, result.times))
+    return (own,) + tuple(
+        own if p.times is result.times else tuple(map(repr, p.times))
+        for p in result.front
+    )
+
+
 @dataclass(frozen=True)
 class PlanResult:
     """A served partition plan plus its provenance.
@@ -184,13 +198,35 @@ class PlanResult:
             dist.convergence = self.cert
         return dist
 
+    def _keep_float_text(self) -> None:
+        """Render the float text once and keep it on this result.
+
+        The plan engine calls this on a freshly solved plan, which is
+        encoded three times (the cache's byte estimate, the journal
+        record, the reply).  Kept outside the fields, so equality,
+        :meth:`replace` (so every hit), copies and pickles leave it out,
+        and :meth:`~repro.serve.cache.PlanCache.put` caches a copy
+        without it: the text lives no longer than the miss.
+        """
+        self.__dict__["_float_text"] = _render_float_text(self)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_float_text", None)
+        return state
+
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly representation (used by front ends and persistence)."""
+        """JSON-friendly representation (used by front ends and persistence).
+
+        Every call returns new containers, so a caller may add keys to
+        its copy (the front ends add ``durable`` and ``id``).
+        """
+        text = self.__dict__.get("_float_text") or _render_float_text(self)
         out: Dict[str, Any] = {
             "key": self.key,
             "total": self.total,
             "sizes": list(self.sizes),
-            "times": [repr(t) for t in self.times],
+            "times": list(text[0]),
             "algorithm": self.algorithm,
             "cached": self.cached,
             "warm": self.warm,
@@ -209,7 +245,9 @@ class PlanResult:
             # existed); other kinds declare themselves and their schema.
             out["kind"] = self.kind
             out["kind_v"] = PLAN_KIND_VERSION
-            out["front"] = [p.to_dict() for p in self.front]
+            out["front"] = [
+                p._dict(list(t)) for p, t in zip(self.front, text[1:])
+            ]
         return out
 
     @staticmethod

@@ -114,6 +114,9 @@ class PlanServer:
         )
         self._lock = threading.Lock()
         self._inflight: Dict[str, "Future[PlanResult]"] = {}
+        # ``(arguments, models, energy models, request)`` of the last miss
+        # try_cached saw, for the request build that serves it.
+        self._missed: Optional[Tuple[Tuple[Any, ...], Any, Any, PlanRequest]] = None
         self._closed = False
         self._started_at = time.monotonic()
         #: Optional closed-loop refinement controller
@@ -161,11 +164,34 @@ class PlanServer:
         kind: str,
         objective: Optional[Mapping[str, Any]],
     ) -> PlanRequest:
-        """Build the content-addressed request (typed errors propagate)."""
+        """Build the content-addressed request (typed errors propagate).
+
+        The request of the last miss :meth:`try_cached` saw is handed to
+        the next build, which takes it when it asks for the same plan of
+        the same model lists (the slow path serving a fast-lane miss), so
+        a miss is fingerprinted once.
+        """
+        missed, self._missed = self._missed, None
+        if (
+            missed is not None
+            and missed[1] is self.models
+            and missed[2] is self.energy_models
+            and missed[0] == (total, partitioner, options, kind, objective)
+        ):
+            return missed[3]
+        return self._request_for(
+            self.models, self.energy_models,
+            total, partitioner, options, kind, objective,
+        )
+
+    def _request_for(
+        self, models, energy_models, total, partitioner, options, kind, objective,
+    ) -> PlanRequest:
+        """The request fingerprinted from exactly these model lists."""
         return self.engine.request(
-            self.models, total, partitioner, options,
+            models, total, partitioner, options,
             kind=kind, objective=objective,
-            energy_models=self.energy_models if kind != "time" else None,
+            energy_models=energy_models if kind != "time" else None,
         )
 
     def _cached(self, request: PlanRequest) -> Optional[PlanResult]:
@@ -198,13 +224,21 @@ class PlanServer:
         digest and an LRU lookup: microseconds) instead of round-tripping
         through the worker pool.  A miss returns ``None`` without counting
         it -- the caller falls back to :meth:`request`, whose engine path
-        counts the miss exactly once.
+        counts the miss exactly once, on the request built here.
         """
-        if kind != "time" and self.energy_models is None:
+        models, energy_models = self.models, self.energy_models
+        if kind != "time" and energy_models is None:
             return None  # the slow path owns the typed 400
-        return self._cached(
-            self._make_request(total, partitioner, options, kind, objective)
+        request = self._request_for(
+            models, energy_models, total, partitioner, options, kind, objective,
         )
+        hit = self._cached(request)
+        if hit is None:
+            self._missed = (
+                (total, partitioner, options, kind, objective),
+                models, energy_models, request,
+            )
+        return hit
 
     def _serve(
         self, request: PlanRequest

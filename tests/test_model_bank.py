@@ -340,7 +340,7 @@ class TestParetoSurrogate:
 
     def _surrogate(self, banks, alphas):
         alphas = np.asarray(alphas)
-        surrogate = _Surrogate(*banks, self.CAP, 96)
+        surrogate = _Surrogate(*banks, self.CAP)
         surrogate.weigh(alphas / 3.0, (1.0 - alphas) / 50.0)
         return surrogate
 
