@@ -15,23 +15,17 @@ message-passing simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:
-    from repro.serve.engine import PlanEngine
+from typing import List, Optional
 
 import numpy as np
 
+from repro.apps._rows import RowRun
 from repro.apps.jacobi.solver import generate_system, jacobi_rows, row_flops
-from repro.core.partition.dist import Distribution
 from repro.core.partition.dynamic import LoadBalancer
-from repro.core.partition.redistribution import apply_plan_cost, redistribution_plan
 from repro.degrade import DegradationPolicy, DegradationReport
 from repro.errors import PartitionError
-from repro.faults.inject import FaultyCommunicator
 from repro.faults.plan import FaultPlan
 from repro.faults.report import ResilienceReport
-from repro.mpi.comm import SimCommunicator
 from repro.mpi.network import Network
 from repro.platform.cluster import Platform
 from repro.platform.perturbation import PerturbationSchedule
@@ -93,13 +87,6 @@ class JacobiRunResult:
         return [r.makespan for r in self.records]
 
 
-def _row_offsets(sizes: List[int]) -> List[int]:
-    offsets = [0]
-    for d in sizes:
-        offsets.append(offsets[-1] + d)
-    return offsets
-
-
 def run_balanced_jacobi(
     platform: Platform,
     balancer: LoadBalancer,
@@ -115,7 +102,6 @@ def run_balanced_jacobi(
     fault_plan: Optional[FaultPlan] = None,
     report: Optional[ResilienceReport] = None,
     policy: Optional[DegradationPolicy] = None,
-    engine: Optional["PlanEngine"] = None,
 ) -> JacobiRunResult:
     """Run the row-distributed Jacobi method under dynamic load balancing.
 
@@ -151,182 +137,79 @@ def run_balanced_jacobi(
             balancer's partition function is guarded by the fallback
             ladder, so a repartitioning failure mid-run degrades (and is
             recorded in the result's ``degradation`` report) instead of
-            aborting the application.
-        engine: optional :class:`~repro.serve.PlanEngine`; the balancer's
-            repartitioning then flows through the plan cache (the
-            engine's default partitioner replaces the balancer's own),
-            so a converged loop -- same refitted models, same total --
-            stops recomputing, and warm starts speed up the steps that
-            do compute.  Composes with ``policy``: the ladder guards the
-            cached path.
+            aborting the application.  The balancer's own function is
+            restored when the run ends.
 
     Returns:
         A :class:`JacobiRunResult`; its per-iteration makespans reproduce
         the convergence behaviour of Fig. 4.
     """
-    if engine is not None:
-        balancer.partition = engine.partition_function()
-    if policy is not None:
-        balancer.partition = policy.wrap(balancer.partition)
-    if balancer.dist.size != platform.size:
-        raise PartitionError(
-            f"balancer has {balancer.dist.size} parts for {platform.size} devices"
-        )
     rows_total = balancer.total
     n_sys = n if n is not None else rows_total
+    run = RowRun(
+        platform, balancer, unit_flops=row_flops(n_sys),
+        row_bytes=(n_sys + 1) * element_bytes, noise_seed=noise_seed,
+        noise_stride=104729, network=network, trace=trace,
+        perturbations=perturbations, fault_plan=fault_plan, report=report,
+        policy=policy,
+    )
     if n_sys < rows_total:
         raise PartitionError(
             f"system size {n_sys} smaller than distributed rows {rows_total}"
         )
     a, b_vec, x_star = generate_system(n_sys, seed=matrix_seed)
     x = np.zeros(n_sys)
-    net = network if network is not None else Network(platform=platform)
-    if fault_plan is not None:
-        if report is None:
-            report = ResilienceReport(survivors=list(range(platform.size)))
-        # Crashes are scheduled here, per application iteration; the
-        # communicator only injects the probabilistic collective drops.
-        comm: SimCommunicator = FaultyCommunicator(
-            platform.size, plan=fault_plan.without_crashes(), network=net,
-            report=report,
-        )
-    else:
-        comm = SimCommunicator(platform.size, network=net)
-    rngs = [np.random.default_rng(noise_seed + 104729 * r) for r in range(platform.size)]
-    unit_flops = row_flops(n_sys)
-
+    comm = run.comm
     records: List[JacobiIterationRecord] = []
-    failed: List[int] = []
-    sizes = balancer.dist.sizes
     error = float("inf")
-    iteration = 0
-    while error > eps and iteration < max_iterations:
-        iteration += 1
+    with run:
+        while error > eps and run.iteration < max_iterations:
+            sizes = run.evacuate()
 
-        # --- scripted crashes: quarantine and evacuate ------------------
-        if fault_plan is not None:
-            for r in range(platform.size):
-                spec = fault_plan.for_rank(r)
-                if (r not in failed and spec.crash_at is not None
-                        and iteration - 1 >= spec.crash_at):
-                    failed.append(r)
-                    if isinstance(comm, FaultyCommunicator):
-                        comm.mark_dead(r)
-                    report.quarantine(
-                        r, platform.device(r).name, 0, "crash"
-                    )
-                    old_sizes = balancer.dist.sizes
-                    new_sizes = balancer.quarantine(r).sizes
-                    report.record(
-                        "repartition", -1,
-                        f"iter {iteration}: rows {old_sizes} -> {new_sizes}",
-                    )
-                    _price_redistribution(
-                        comm, old_sizes, new_sizes, n_sys, element_bytes,
-                        dead=failed,
-                    )
-            sizes = balancer.dist.sizes
+            # --- local computation (real math, virtual time) -----------
+            x_new = x.copy()
+            for first, d in run.slabs():
+                x_new[first: first + d] = jacobi_rows(a, b_vec, x, first, d)
+            # Rows beyond rows_total (when n > rows_total) are updated by
+            # the "host" rank 0 at no modelled cost -- only distributed
+            # rows are load-balanced.
+            if n_sys > rows_total:
+                x_new[rows_total:] = jacobi_rows(
+                    a, b_vec, x, rows_total, n_sys - rows_total
+                )
+            compute_times = run.compute()
 
-        offsets = _row_offsets(sizes)
-        comm_before = comm.max_time()
-
-        # --- local computation (real math, virtual time) ---------------
-        x_new = x.copy()
-        compute_times: List[float] = []
-        active = [r for r in range(platform.size) if sizes[r] > 0]
-        for r in range(platform.size):
-            d = sizes[r]
-            if d == 0:
-                compute_times.append(0.0)
-                continue
-            x_new[offsets[r]: offsets[r] + d] = jacobi_rows(
-                a, b_vec, x, offsets[r], d
-            )
-            contention = platform.group_contention(r, active)
-            if perturbations is not None:
-                contention *= perturbations.factor(r, comm.time(r))
-            t = platform.device(r).execution_time(
-                unit_flops * d, d, rngs[r], contention_factor=contention
-            )
-            if fault_plan is not None:
-                t *= fault_plan.for_rank(r).straggler_factor
-            compute_times.append(t)
-            span_start = comm.time(r)
-            comm.compute(r, t)
-            if trace is not None:
-                trace.compute(r, span_start, comm.time(r), f"iter {iteration}")
-        # Rows beyond rows_total (when n > rows_total) are updated by the
-        # "host" rank 0 at no modelled cost -- only distributed rows are
-        # load-balanced.
-        if n_sys > rows_total:
-            x_new[rows_total:] = jacobi_rows(a, b_vec, x, rows_total, n_sys - rows_total)
-
-        # --- allgather of solution slices -------------------------------
-        gather_starts = [comm.time(r) for r in range(platform.size)]
-        comm.allgatherv([sizes[r] * element_bytes for r in range(platform.size)])
-        if trace is not None:
-            for r in range(platform.size):
-                trace.comm(r, gather_starts[r], comm.time(r), f"allgather {iteration}")
-
-        error = float(np.max(np.abs(x_new - x)))
-        x = x_new
-
-        # --- load balancing ---------------------------------------------
-        old_sizes = sizes
-        new_dist: Distribution = balancer.iterate(compute_times)
-        new_sizes = new_dist.sizes
-        rebalanced = new_sizes != old_sizes
-        if rebalanced:
+            # --- allgather of solution slices ---------------------------
+            gather_starts = [comm.time(r) for r in range(platform.size)]
+            comm.allgatherv([d * element_bytes for d in sizes])
             if trace is not None:
                 for r in range(platform.size):
-                    trace.marker(r, comm.time(r), f"rebalance {iteration}")
-            _price_redistribution(
-                comm, old_sizes, new_sizes, n_sys, element_bytes, dead=failed
+                    trace.comm(r, gather_starts[r], comm.time(r),
+                               f"allgather {run.iteration}")
+
+            error = float(np.max(np.abs(x_new - x)))
+            x = x_new
+
+            # --- load balancing -----------------------------------------
+            rebalanced, makespan = run.rebalance(compute_times)
+            records.append(
+                JacobiIterationRecord(
+                    iteration=run.iteration,
+                    sizes=list(sizes),
+                    compute_times=compute_times,
+                    makespan=makespan,
+                    comm_time=max(makespan - max(compute_times), 0.0),
+                    error=error,
+                    rebalanced=rebalanced,
+                )
             )
-        comm_after = comm.barrier()
-        makespan = comm_after - comm_before
-        comm_time = makespan - max(compute_times) if compute_times else 0.0
-        records.append(
-            JacobiIterationRecord(
-                iteration=iteration,
-                sizes=list(old_sizes),
-                compute_times=compute_times,
-                makespan=makespan,
-                comm_time=max(comm_time, 0.0),
-                error=error,
-                rebalanced=rebalanced,
-            )
-        )
-        sizes = new_sizes
 
     return JacobiRunResult(
         records=records,
         solution=x,
         solution_error=float(np.max(np.abs(x - x_star))),
         total_time=comm.max_time(),
-        final_sizes=list(sizes),
-        failed_ranks=sorted(failed),
-        degradation=policy.report if policy is not None else None,
+        final_sizes=list(run.sizes),
+        failed_ranks=sorted(run.failed),
+        degradation=run.degradation,
     )
-
-
-def _price_redistribution(
-    comm: SimCommunicator,
-    old_sizes: List[int],
-    new_sizes: List[int],
-    n: int,
-    element_bytes: int,
-    dead: Optional[List[int]] = None,
-) -> None:
-    """Charge the cost of moving matrix rows between consecutive layouts.
-
-    A row is ``n`` matrix elements plus the right-hand-side entry; the
-    transfers come from the shared contiguous redistribution plan.
-    Transfers sourced at a dead rank are not charged on the network: that
-    data is restored from the last checkpoint, not fetched from the
-    crashed peer.
-    """
-    plan = redistribution_plan(old_sizes, new_sizes)
-    if dead:
-        plan = [t for t in plan if t.source not in dead and t.dest not in dead]
-    apply_plan_cost(comm, plan, (n + 1) * element_bytes)

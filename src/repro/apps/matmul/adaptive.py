@@ -16,10 +16,7 @@ execution compared against the homogeneous (even) layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    from repro.serve.engine import PlanEngine
+from typing import Optional
 
 from repro.apps.matmul.kernel import gemm_unit_flops
 from repro.apps.matmul.partition2d import ColumnPartition, partition_columns
@@ -73,7 +70,6 @@ def run_adaptive_matmul(
     precision: Optional[Precision] = None,
     seed: int = 0,
     policy: Optional[DegradationPolicy] = None,
-    engine: Optional["PlanEngine"] = None,
 ) -> AdaptiveMatmulReport:
     """Run the self-adaptive matrix multiplication end to end.
 
@@ -91,11 +87,6 @@ def run_adaptive_matmul(
             fails on the partial models, the ladder (numerical, basic,
             even) takes over instead of aborting the one-shot run, and
             the report's ``degradation`` field says so.
-        engine: optional :class:`~repro.serve.PlanEngine`; the startup
-            loop's repartitioning steps then flow through the plan
-            cache, so the repeated solves on converging partial models
-            are warm-started and the final (stable) solve is a cache
-            hit.  Composes with ``policy`` as in the jacobi app.
 
     Returns:
         An :class:`AdaptiveMatmulReport`.
@@ -112,10 +103,7 @@ def run_adaptive_matmul(
         platform, unit_flops=unit_flops, precision=startup_precision, seed=seed
     )
     models = [PiecewiseModel() for _ in range(platform.size)]
-    partition_fn = (
-        engine.partition_function() if engine is not None
-        else partition_geometric
-    )
+    partition_fn = partition_geometric
     if policy is not None:
         partition_fn = policy.wrap(partition_fn)
     dyn = DynamicPartitioner(

@@ -20,7 +20,7 @@ maximum over ranks and the total is the sum over ``nb`` iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -193,7 +193,3 @@ def even_column_partition(size: int, nb: int) -> ColumnPartition:
 
     return partition_columns([1.0] * size, nb)
 
-
-def areas_from_sizes(sizes: Sequence[int]) -> List[float]:
-    """Adapter: a partitioner's per-rank unit counts as relative areas."""
-    return [float(d) for d in sizes]

@@ -24,15 +24,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.apps._rows import RowRun
 from repro.apps.stencil.solver import DEFAULT_ALPHA, heat_step_rows, init_grid, row_flops
 from repro.core.partition.dynamic import LoadBalancer
-from repro.core.partition.redistribution import apply_plan_cost, redistribution_plan
 from repro.degrade import DegradationPolicy, DegradationReport
-from repro.errors import PartitionError
-from repro.faults.inject import FaultyCommunicator
 from repro.faults.plan import FaultPlan
 from repro.faults.report import ResilienceReport
-from repro.mpi.comm import SimCommunicator
 from repro.mpi.network import Network
 from repro.platform.cluster import Platform
 from repro.platform.perturbation import PerturbationSchedule
@@ -88,13 +85,6 @@ class StencilRunResult:
         return [r.makespan for r in self.records]
 
 
-def _offsets(sizes: List[int]) -> List[int]:
-    out = [0]
-    for d in sizes:
-        out.append(out[-1] + d)
-    return out
-
-
 def run_balanced_stencil(
     platform: Platform,
     balancer: LoadBalancer,
@@ -137,155 +127,66 @@ def run_balanced_stencil(
             guarding the balancer's partition function: a mid-run
             repartitioning failure degrades down the ladder (recorded in
             the result's ``degradation`` report) instead of aborting.
+            The balancer's own function is restored when the run ends.
 
     Returns:
         A :class:`StencilRunResult`.
     """
-    if policy is not None:
-        balancer.partition = policy.wrap(balancer.partition)
-    if balancer.dist.size != platform.size:
-        raise PartitionError(
-            f"balancer has {balancer.dist.size} parts for {platform.size} devices"
-        )
-    ny = balancer.total
-    grid = init_grid(ny, nx)
-    net = network if network is not None else Network(platform=platform)
-    if fault_plan is not None:
-        if report is None:
-            report = ResilienceReport(survivors=list(range(platform.size)))
-        # Crashes are scheduled here, per application iteration; the
-        # communicator only injects the probabilistic collective drops.
-        comm: SimCommunicator = FaultyCommunicator(
-            platform.size, plan=fault_plan.without_crashes(), network=net,
-            report=report,
-        )
-    else:
-        comm = SimCommunicator(platform.size, network=net)
-    rngs = [np.random.default_rng(noise_seed + 15485863 * r) for r in range(platform.size)]
-    unit_flops = row_flops(nx)
+    run = RowRun(
+        platform, balancer, unit_flops=row_flops(nx),
+        row_bytes=nx * element_bytes, noise_seed=noise_seed,
+        noise_stride=15485863, network=network, trace=trace,
+        perturbations=perturbations, fault_plan=fault_plan, report=report,
+        policy=policy,
+    )
+    grid = init_grid(balancer.total, nx)
+    comm = run.comm
     halo_bytes = nx * element_bytes
-
     records: List[StencilIterationRecord] = []
-    failed: List[int] = []
-    sizes = balancer.dist.sizes
     change = float("inf")
-    iteration = 0
-    while change > eps and iteration < max_iterations:
-        iteration += 1
+    with run:
+        while change > eps and run.iteration < max_iterations:
+            sizes = run.evacuate()
 
-        # --- scripted crashes: quarantine and evacuate -------------------
-        if fault_plan is not None:
-            for r in range(platform.size):
-                spec = fault_plan.for_rank(r)
-                if (r not in failed and spec.crash_at is not None
-                        and iteration - 1 >= spec.crash_at):
-                    failed.append(r)
-                    if isinstance(comm, FaultyCommunicator):
-                        comm.mark_dead(r)
-                    report.quarantine(r, platform.device(r).name, 0, "crash")
-                    old_sizes = balancer.dist.sizes
-                    new_sizes = balancer.quarantine(r).sizes
-                    report.record(
-                        "repartition", -1,
-                        f"iter {iteration}: rows {old_sizes} -> {new_sizes}",
-                    )
-                    _price_row_moves(
-                        comm, old_sizes, new_sizes, nx, element_bytes,
-                        dead=failed,
-                    )
-            sizes = balancer.dist.sizes
+            # --- halo exchange between neighbouring non-empty slabs ------
+            active = [r for r, d in enumerate(sizes) if d > 0]
+            for left, right in zip(active, active[1:]):
+                start = max(comm.time(left), comm.time(right))
+                comm.exchange(left, right, halo_bytes)
+                if trace is not None:
+                    label = f"halo {run.iteration}"
+                    trace.comm(left, start, comm.time(left), label)
+                    trace.comm(right, start, comm.time(right), label)
 
-        offsets = _offsets(sizes)
-        t_before = comm.max_time()
-        active = [r for r in range(platform.size) if sizes[r] > 0]
+            # --- local stencil update (real math, virtual time) ----------
+            new_grid = grid.copy()
+            for first, d in run.slabs():
+                new_grid[first: first + d] = heat_step_rows(grid, first, d, alpha)
+            compute_times = run.compute()
 
-        # --- halo exchange between neighbouring non-empty slabs ----------
-        for left, right in zip(active, active[1:]):
-            start = max(comm.time(left), comm.time(right))
-            comm.exchange(left, right, halo_bytes)
-            if trace is not None:
-                trace.comm(left, start, comm.time(left), f"halo {iteration}")
-                trace.comm(right, start, comm.time(right), f"halo {iteration}")
+            # --- global convergence test (allreduce of one double) -------
+            change = float(np.max(np.abs(new_grid - grid)))
+            comm.allreduce(element_bytes)
+            grid = new_grid
 
-        # --- local stencil update (real math, virtual time) --------------
-        new_grid = grid.copy()
-        compute_times: List[float] = []
-        for r in range(platform.size):
-            d = sizes[r]
-            if d == 0:
-                compute_times.append(0.0)
-                continue
-            new_grid[offsets[r]: offsets[r] + d] = heat_step_rows(
-                grid, offsets[r], d, alpha
+            # --- load balancing ------------------------------------------
+            rebalanced, makespan = run.rebalance(compute_times)
+            records.append(
+                StencilIterationRecord(
+                    iteration=run.iteration,
+                    sizes=list(sizes),
+                    compute_times=compute_times,
+                    makespan=makespan,
+                    change=change,
+                    rebalanced=rebalanced,
+                )
             )
-            contention = platform.group_contention(r, active)
-            if perturbations is not None:
-                contention *= perturbations.factor(r, comm.time(r))
-            t = platform.device(r).execution_time(
-                unit_flops * d, d, rngs[r], contention_factor=contention
-            )
-            if fault_plan is not None:
-                t *= fault_plan.for_rank(r).straggler_factor
-            compute_times.append(t)
-            span_start = comm.time(r)
-            comm.compute(r, t)
-            if trace is not None:
-                trace.compute(r, span_start, comm.time(r), f"iter {iteration}")
-
-        # --- global convergence test (allreduce of one double) -----------
-        change = float(np.max(np.abs(new_grid - grid)))
-        comm.allreduce(element_bytes)
-        grid = new_grid
-
-        # --- load balancing ----------------------------------------------
-        old_sizes = sizes
-        new_dist = balancer.iterate(compute_times)
-        new_sizes = new_dist.sizes
-        rebalanced = new_sizes != old_sizes
-        if rebalanced:
-            if trace is not None:
-                for r in range(platform.size):
-                    trace.marker(r, comm.time(r), f"rebalance {iteration}")
-            _price_row_moves(
-                comm, old_sizes, new_sizes, nx, element_bytes, dead=failed
-            )
-        t_after = comm.barrier()
-        records.append(
-            StencilIterationRecord(
-                iteration=iteration,
-                sizes=list(old_sizes),
-                compute_times=compute_times,
-                makespan=t_after - t_before,
-                change=change,
-                rebalanced=rebalanced,
-            )
-        )
-        sizes = new_sizes
 
     return StencilRunResult(
         records=records,
         grid=grid,
         total_time=comm.max_time(),
-        final_sizes=list(sizes),
-        failed_ranks=sorted(failed),
-        degradation=policy.report if policy is not None else None,
+        final_sizes=list(run.sizes),
+        failed_ranks=sorted(run.failed),
+        degradation=run.degradation,
     )
-
-
-def _price_row_moves(
-    comm: SimCommunicator,
-    old_sizes: List[int],
-    new_sizes: List[int],
-    nx: int,
-    element_bytes: int,
-    dead: Optional[List[int]] = None,
-) -> None:
-    """Charge the transfers of grid rows between consecutive layouts.
-
-    Transfers touching a dead rank are not charged: its slab is restored
-    from the last checkpoint, not fetched from the crashed peer.
-    """
-    plan = redistribution_plan(old_sizes, new_sizes)
-    if dead:
-        plan = [t for t in plan if t.source not in dead and t.dest not in dead]
-    apply_plan_cost(comm, plan, nx * element_bytes)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ConvergenceError, ConvergenceWarning
 
@@ -66,6 +66,25 @@ class ConvergenceCert:
             "tolerance": repr(self.tolerance),
             "detail": self.detail,
         }
+
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "ConvergenceCert":
+        """Rebuild a cert from :meth:`to_dict` output.
+
+        Raises:
+            KeyError, TypeError, ValueError: on a malformed mapping; the
+                callers decoding a larger payload turn these into their
+                own error.
+        """
+        return ConvergenceCert(
+            algorithm=str(data["algorithm"]),
+            converged=bool(data["converged"]),
+            iterations=int(data["iterations"]),
+            max_iter=int(data["max_iter"]),
+            residual=float(data["residual"]),
+            tolerance=float(data["tolerance"]),
+            detail=str(data.get("detail", "")),
+        )
 
     def summary(self) -> str:
         """One-line human summary."""

@@ -125,18 +125,9 @@ class ParetoPoint:
     def from_dict(data: Mapping[str, Any]) -> "ParetoPoint":
         """Rebuild a point from :meth:`to_dict` output."""
         try:
-            cert = None
-            if "cert" in data:
-                c = data["cert"]
-                cert = ConvergenceCert(
-                    algorithm=str(c["algorithm"]),
-                    converged=bool(c["converged"]),
-                    iterations=int(c["iterations"]),
-                    max_iter=int(c["max_iter"]),
-                    residual=float(c["residual"]),
-                    tolerance=float(c["tolerance"]),
-                    detail=str(c.get("detail", "")),
-                )
+            cert = (
+                ConvergenceCert.from_dict(data["cert"]) if "cert" in data else None
+            )
             return ParetoPoint(
                 sizes=tuple(int(d) for d in data["sizes"]),
                 times=tuple(float(t) for t in data["times"]),
@@ -239,8 +230,9 @@ class BlendedModel(PerformanceModel):
     ``time(x) = wt * t(x) + we * e(x)`` -- a valid
     :class:`PerformanceModel` (non-negative blends of increasing
     functions are increasing), so the existing partitioners invert it
-    unchanged.  Tests use it as the ground truth for the batched
-    surrogate.
+    unchanged.  The sweep blends through its batched surrogate instead;
+    the fingerprint tests use this class as the composite model whose
+    fingerprint must follow both components.
     """
 
     min_points = 0

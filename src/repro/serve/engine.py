@@ -32,8 +32,6 @@ fingerprint and gets a fresh bank.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import operator
 import time
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
@@ -43,21 +41,12 @@ from repro.core.partition.batch import ModelBank
 from repro.core.partition.dist import Distribution
 from repro.core.partition.pareto import DEFAULT_FRONT_POINTS, partition_pareto
 from repro.core.partition.warm import WarmStart
-from repro.degrade.policy import _FALLBACK_TRIGGERS, DegradationPolicy
+from repro.degrade.policy import _FALLBACK_TRIGGERS, DegradationPolicy, _parameter_names
 from repro.errors import CircuitOpenError, PartitionError
 from repro.serve.breaker import BreakerBoard
 from repro.serve.cache import PlanCache
 from repro.serve.fingerprint import fingerprint_models
 from repro.serve.plan import PlanRequest, PlanResult, ServeCounters
-
-
-@functools.lru_cache(maxsize=64)
-def _takes_warm_start(fn) -> bool:
-    """Whether partitioner ``fn`` accepts a ``warm_start`` seed."""
-    try:
-        return "warm_start" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
 
 
 class PlanEngine:
@@ -341,7 +330,7 @@ class PlanEngine:
         fn = registry.partitioner(request.partitioner)
         kwargs = request.option_dict()
         warm_used = False
-        if _takes_warm_start(fn) and "warm_start" not in kwargs:
+        if "warm_start" in _parameter_names(fn) and "warm_start" not in kwargs:
             hint = self._warm_hint(request)
             if hint is not None:
                 kwargs["warm_start"] = hint
@@ -486,22 +475,3 @@ class PlanEngine:
     ) -> Distribution:
         """Serve a plan and rebuild it as a :class:`Distribution`."""
         return self.plan(models, total, partitioner, options).distribution()
-
-    def partition_function(
-        self,
-        partitioner: Optional[str] = None,
-        options: Optional[Mapping[str, Any]] = None,
-    ):
-        """This engine as a ``(total, models) -> Distribution`` callable.
-
-        Drop-in for :class:`~repro.core.partition.DynamicPartitioner`,
-        :class:`~repro.core.partition.LoadBalancer` and the apps'
-        ``partition_fn`` seams: every repartitioning step of a dynamic
-        loop then flows through the cache, so converged loops (which
-        re-request the same models at the same total) stop recomputing.
-        """
-
-        def cached_partition(total: int, models: Sequence) -> Distribution:
-            return self.distribution(models, total, partitioner, options)
-
-        return cached_partition

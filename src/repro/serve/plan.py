@@ -21,7 +21,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.partition.cert import ConvergenceCert
 from repro.core.partition.dist import Distribution, Part
-from repro.core.partition.pareto import ParetoFront, ParetoPoint
+from repro.core.partition.pareto import ParetoPoint
 from repro.errors import PartitionError
 from repro.serve.fingerprint import fingerprint_objective_request
 
@@ -177,18 +177,6 @@ class PlanResult:
     durable: bool = True
     front: Tuple[ParetoPoint, ...] = ()
 
-    def pareto_front(self) -> ParetoFront:
-        """Rebuild the :class:`~repro.core.partition.pareto.ParetoFront`.
-
-        Raises:
-            PartitionError: on a ``"time"`` plan, which has no front.
-        """
-        if self.kind != "pareto" or not self.front:
-            raise PartitionError(
-                f"plan kind {self.kind!r} carries no pareto front"
-            )
-        return ParetoFront(total=self.total, points=self.front)
-
     def distribution(self) -> Distribution:
         """Rebuild a fresh :class:`Distribution` (cert re-attached)."""
         dist = Distribution(
@@ -266,18 +254,9 @@ class PlanResult:
                 raise ValueError(
                     f"{len(sizes)} sizes for {len(times)} times"
                 )
-            cert = None
-            if "cert" in data:
-                c = data["cert"]
-                cert = ConvergenceCert(
-                    algorithm=str(c["algorithm"]),
-                    converged=bool(c["converged"]),
-                    iterations=int(c["iterations"]),
-                    max_iter=int(c["max_iter"]),
-                    residual=float(c["residual"]),
-                    tolerance=float(c["tolerance"]),
-                    detail=str(c.get("detail", "")),
-                )
+            cert = (
+                ConvergenceCert.from_dict(data["cert"]) if "cert" in data else None
+            )
             kind = str(data.get("kind", "time"))
             if kind not in PLAN_KINDS:
                 raise ValueError(f"unknown plan kind {kind!r}")

@@ -123,11 +123,6 @@ class SiblingFill:
             self._ring = ring
         return len(clients)
 
-    def peer_count(self) -> int:
-        """Number of known peers (excluding this shard)."""
-        with self._lock:
-            return len(self._clients)
-
     def __call__(self, request: PlanRequest) -> Optional[PlanResult]:
         with self._lock:
             clients = dict(self._clients)

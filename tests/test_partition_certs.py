@@ -62,6 +62,21 @@ class TestCertAttachment:
         d = dist.convergence.to_dict()
         assert d["algorithm"] == "geometric"
         assert float(d["residual"]) == dist.convergence.residual
+        assert ConvergenceCert.from_dict(d) == dist.convergence
+
+    def test_malformed_cert_raises_each_payloads_own_error(self):
+        from repro.core.partition.pareto import ParetoPoint
+        from repro.serve.plan import PlanResult
+
+        cert = {"algorithm": "geometric", "converged": True}  # truncated
+        point = {"sizes": [1], "times": ["0.5"], "time": "0.5",
+                 "energy": "1.0", "alpha": "0.0", "cert": cert}
+        with pytest.raises(PartitionError, match="malformed pareto point"):
+            ParetoPoint.from_dict(point)
+        plan = {"key": "k", "total": 1, "sizes": [1], "times": ["0.5"],
+                "algorithm": "geometric", "cert": cert}
+        with pytest.raises(PartitionError, match="malformed plan payload"):
+            PlanResult.from_dict(plan)
 
     def test_certs_sink_collects(self):
         sink = []

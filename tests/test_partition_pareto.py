@@ -180,6 +180,7 @@ class TestSelection:
             p.sizes for p in front.points]
         assert [p.energy for p in clone.points] == [
             p.energy for p in front.points]
+        assert [p.cert for p in clone.points] == [p.cert for p in front.points]
 
 
 class TestValidation:
