@@ -131,12 +131,14 @@ class RowRun:
     def evacuate(self) -> List[int]:
         """Begin the next iteration and return its row counts.
 
-        Every rank whose ``crash_at`` the run has reached dies before
-        the iteration starts: the balancer quarantines it and its rows
-        move to the survivors.  Evacuation is served from checkpointed
-        data, so no transfer to or from a dead rank is charged.
+        Every rank whose ``crash_at`` the run has reached dies as the
+        iteration starts: the balancer quarantines it and its rows move
+        to the survivors, within the iteration's time.  Evacuation is
+        served from checkpointed data, so no transfer to or from a dead
+        rank is charged.
         """
         self.iteration += 1
+        self._start = self.comm.max_time()
         if self.fault_plan is not None:
             for r in range(self.platform.size):
                 crash_at = self.fault_plan.for_rank(r).crash_at
@@ -153,7 +155,6 @@ class RowRun:
                     )
                     self._move_rows(old_sizes, new_sizes)
             self.sizes = self.balancer.dist.sizes
-        self._start = self.comm.max_time()
         return self.sizes
 
     def slabs(self) -> Iterator[Tuple[int, int]]:
@@ -199,7 +200,8 @@ class RowRun:
         """End the iteration: feed the balancer, move rows, synchronise.
 
         Returns whether the balancer moved rows, and the iteration's
-        makespan (from the end of evacuation to the closing barrier).
+        makespan (from its start, evacuation included, to the closing
+        barrier).
         """
         old_sizes = self.sizes
         self.sizes = self.balancer.iterate(compute_times).sizes

@@ -136,10 +136,15 @@ class LevelTable:
 
     The inversion is closed-form: the speed is linear on each knot
     interval, so ``t(x) = T`` solves to ``x = T (s_k - m_k x_k) /
-    (1 - T m_k)`` within the interval, and to ``x = T s`` in the
-    constant-speed extensions.  The FPM shape restriction makes the knot
-    times strictly increasing, so the interval is one upper-bound search
-    over the knot times.
+    (1 - T m_k)`` within the interval.  The FPM shape restriction makes
+    the knot times strictly increasing, so a level's interval is the
+    number of knot times at or below it: 0 left of the first knot, ``n``
+    right of the last.  Those two are the constant-speed extensions,
+    stored as intervals of slope 0 with open bounds, where the same
+    closed form gives ``x = T s / 1.0 = T s``.  Intervals are monotone
+    in ``T``, so a caller that knows the intervals of two levels
+    bracketing the ones it asks for (the geometrical bisection does)
+    spares every row whose interval those two pin the search.
     """
 
     def __init__(
@@ -161,42 +166,71 @@ class LevelTable:
         xk = padded(0, np.inf)
         sk = padded(1, 1.0)
         ys = padded(2, 0.0)
+        # Column k of the coefficient table is interval k: the knot
+        # interval from knot k - 1 to knot k inside the knots, an
+        # extension at the end speed outside them.
+        xl = np.concatenate([xk[:, :1], xk[:, :-1]], axis=1)
+        sl = np.concatenate([sk[:, :1], sk[:, :-1]], axis=1)
         with np.errstate(invalid="ignore"):
-            dx = xk[:, 1:] - xk[:, :-1]
-            self.mk = (sk[:, 1:] - sk[:, :-1]) / dx
-            self.bk = sk[:, :-1] - self.mk * xk[:, :-1]
-            self.slopes = (ys[:, 1:] - ys[:, :-1]) / dx
+            dx = xk - xl
+            mk = (sk - sl) / dx
+            bk = sl - mk * xl
+            self.slopes = (ys[:, 1:] - ys[:, :-1]) / dx[:, 1:]
         self.n = n
         self.xk, self.sk, self.ys = xk, sk, ys
         self.tk = xk / sk  # padding stays +inf
-        self.s_last = sk[np.arange(p), n - 1]
         self.x_min = np.fromiter((k[3] for k in knots), dtype=float, count=p)
         self.x_max = np.fromiter((k[4] for k in knots), dtype=float, count=p)
+        k = np.arange(width)
+        inner = (k >= 1) & (k < n[:, None])
+        ends = np.where(k == 0, sk[:, :1], sk[np.arange(p), n - 1][:, None])
+        self._mk = np.where(inner, mk, 0.0)
+        self._bk = np.where(inner, bk, ends)
+        self._x_left = np.where(inner, xl, -np.inf)
+        self._x_right = np.where(inner, xk, np.inf)
+        self._base = (np.arange(p) * width)[:, None]
 
     def allocations(self, levels, cap: float) -> np.ndarray:
         """Every row's size at every time level, clamped to ``[0, cap]``.
 
         Returns a ``(rows, len(levels))`` array.
         """
+        return self._bracketed(levels, cap)[0]
+
+    def _bracketed(
+        self,
+        levels,
+        cap: float,
+        lo: Optional[np.ndarray] = None,
+        hi: Optional[np.ndarray] = None,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`allocations` and the interval of every (row, level).
+
+        ``lo``/``hi`` (``(rows,)`` integers, either may be ``None``) are
+        intervals known to bound every level's, such as those of two
+        levels bracketing all of ``levels``.  A row whose bounds are
+        equal is pinned to that interval and not searched; only the rows
+        left open search their knot times, and with no bounds every row
+        does.  The intervals come back as a ``(rows, len(levels))`` array.
+        """
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        # Interval index: -1 left of the first knot, n-1 right of the last.
-        j = upper_bound(self.tk, levels) - 1
-        # Constant-speed extensions on both sides.
-        x = np.where(j < 0, levels * self.sk[:, :1], levels * self.s_last[:, None])
-        r, c = np.nonzero((j >= 0) & (j < self.n[:, None] - 1))
-        if r.size:
-            ji = j[r, c]
-            ti = levels[c]
-            denom = 1.0 - ti * self.mk[r, ji]
-            # t strictly increasing on the interval => denominator > 0 at
-            # the root; guard float dust by falling back to the right knot.
-            xi = np.where(
-                denom > 1e-300,
-                ti * self.bk[r, ji] / np.where(denom > 1e-300, denom, 1.0),
-                self.xk[r, ji + 1],
-            )
-            x[r, c] = np.clip(xi, self.xk[r, ji], self.xk[r, ji + 1])
-        return np.clip(x, 0.0, float(cap))
+        if lo is None and hi is None:
+            k = upper_bound(self.tk, levels)
+        else:
+            lo = np.zeros_like(self.n) if lo is None else lo
+            k = np.repeat(lo[:, None], levels.size, axis=1)
+            open_rows = np.flatnonzero((self.n if hi is None else hi) - lo)
+            if open_rows.size:
+                k[open_rows] = upper_bound(self.tk[open_rows], levels)
+        at = k + self._base
+        x_right = self._x_right.take(at)
+        denom = 1.0 - levels * self._mk.take(at)
+        # t strictly increasing on the interval => denominator > 0 at the
+        # root; guard float dust by falling back to the right knot.
+        ok = denom > 1e-300
+        x = np.where(ok, levels * self._bk.take(at) / np.where(ok, denom, 1.0), x_right)
+        x = np.clip(np.clip(x, self._x_left.take(at), x_right), 0.0, float(cap))
+        return x, k
 
     def times(self, sizes) -> np.ndarray:
         """Every row's time at its own size(s): ``sizes`` is ``(rows,)`` or ``(rows, m)``."""

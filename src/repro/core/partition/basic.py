@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
-from repro.core.partition.batch import ModelBank
+from repro.core.partition.batch import ModelBank, _part_values
 from repro.core.partition.cert import ConvergenceCert, certify
-from repro.core.partition.dist import Distribution, Part, round_preserving_sum
+from repro.core.partition.dist import Distribution, round_preserving_sum
 from repro.core.partition.validate import validate_partition_inputs
 from repro.errors import PartitionError
 
@@ -52,7 +52,7 @@ def partition_constant(
                             "closed-form proportional split")
     if total == 0:
         return certify(
-            Distribution(Part(0, 0.0) for _ in range(size)),
+            Distribution.from_sizes([0] * size),
             _cert, strict, certs,
         )
     probe = max(total / size, 1.0)
@@ -67,8 +67,5 @@ def partition_constant(
     total_speed = float(np.sum(speeds))
     shares = [total * float(s) / total_speed for s in speeds]
     sizes = round_preserving_sum(shares, total)
-    times = bank.times(np.asarray(sizes, dtype=float))
-    dist = Distribution(
-        Part(d, float(times[i]) if d > 0 else 0.0) for i, d in enumerate(sizes)
-    )
+    dist = Distribution.from_sizes(sizes, _part_values(bank, sizes))
     return certify(dist, _cert, strict, certs)

@@ -70,6 +70,7 @@ class ModelBank(SequenceABC):
         self._rows = np.zeros(0, dtype=np.intp)
         self._fallback: List[int] = []
         self._built = False
+        self._last_total: tuple = (None, None)
 
     @classmethod
     def of(cls, models: Sequence[PerformanceModel]) -> "ModelBank":
@@ -125,21 +126,53 @@ class ModelBank(SequenceABC):
         the bracketing levels of the previous step, which bound every
         interior allocation by monotonicity.
         """
+        return self._bracketed(levels, cap, (lo, None), (hi, None))[0]
+
+    def _bracketed(self, levels, cap: float, lo: tuple, hi: tuple):
+        """:meth:`allocations` between two bracket ends, with knot intervals.
+
+        ``lo`` and ``hi`` are ``(allocations, intervals)`` at two levels
+        that bracket every one of ``levels``, as this method returned
+        them (either part may be ``None``: no bound).  The allocations
+        bound the searching rows, as in :meth:`allocations`; the
+        intervals bound the stacked rows' knot-interval lookup.  Returns
+        ``(allocations, intervals)``: ``(p, m)`` sizes and the stacked
+        rows' ``(len(rows), m)`` knot intervals, for the caller to carry
+        to its next, narrower bracket.
+        """
         self._build()
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        if not self._fallback:
-            return self._table.allocations(levels, cap)
+        (alloc_lo, knots_lo), (alloc_hi, knots_hi) = lo, hi
+        if self._table is None:
+            knots = np.zeros((0, levels.size), dtype=np.intp)
+        else:
+            stacked, knots = self._table._bracketed(levels, cap, knots_lo, knots_hi)
+            if not self._fallback:
+                return stacked, knots
         out = np.empty((self.size, levels.size))
         if self._table is not None:
-            out[self._rows] = self._table.allocations(levels, cap)
+            out[self._rows] = stacked
         for i in self._fallback:
             out[i] = self.models[i].allocation_batch(
                 levels,
                 cap,
-                lo=None if lo is None else lo[i],
-                hi=None if hi is None else hi[i],
+                lo=None if alloc_lo is None else alloc_lo[i],
+                hi=None if alloc_hi is None else alloc_hi[i],
             )
-        return out
+        return out, knots
+
+    def _at_total(self, total: int) -> np.ndarray:
+        """Every model's time at ``total`` (read-only), kept for the last total.
+
+        Validation, the solve and the Pareto blend scales each need this
+        vector for one request's total; the bank evaluates it once.
+        """
+        held_total, held = self._last_total
+        if held_total != total:
+            held = self.times(np.full(self.size, float(total)))
+            held.flags.writeable = False
+            self._last_total = (total, held)
+        return held
 
     def times(self, sizes) -> np.ndarray:
         """Each model's time at its own size(s).
@@ -174,6 +207,12 @@ class ModelBank(SequenceABC):
                 idx = np.asarray(indices)
                 out[idx] = model.time_batch(xs[idx])
         return out
+
+
+def _part_values(bank: ModelBank, sizes: Sequence[int]) -> List[float]:
+    """Each rank's predicted value at its share, 0.0 where the share is 0."""
+    d = np.asarray(sizes, dtype=float)
+    return np.where(d > 0, bank.times(d), 0.0).tolist()
 
 
 __all__ = ["ModelBank"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import PartitionError
 
@@ -30,12 +30,21 @@ class Part:
 
 
 class Distribution:
-    """An integer workload distribution over ``size`` processes."""
+    """An integer workload distribution over ``size`` processes.
+
+    It holds the per-process sizes and predicted times as two lists; the
+    :class:`Part` objects of :attr:`parts` are built the first time they
+    are read, so a partitioner that hands back lists (and a caller that
+    reads only :attr:`sizes` and :attr:`times`) builds none.
+    """
 
     def __init__(self, parts: Iterable[Part]) -> None:
-        self.parts: List[Part] = list(parts)
-        if not self.parts:
+        parts = list(parts)
+        if not parts:
             raise PartitionError("distribution must have at least one part")
+        self._parts: Optional[List[Part]] = parts
+        self._sizes = [p.d for p in parts]
+        self._times = [p.t for p in parts]
 
     @staticmethod
     def even(total: int, size: int) -> "Distribution":
@@ -44,8 +53,9 @@ class Distribution:
             raise PartitionError(f"size must be >= 1, got {size}")
         if total < 0:
             raise PartitionError(f"total must be non-negative, got {total}")
-        sizes = round_preserving_sum([total / size] * size, total)
-        return Distribution(Part(d) for d in sizes)
+        return Distribution.from_sizes(
+            round_preserving_sum([total / size] * size, total)
+        )
 
     @staticmethod
     def from_sizes(sizes: Sequence[int], times: Sequence[float] = ()) -> "Distribution":
@@ -54,34 +64,48 @@ class Distribution:
             raise PartitionError(
                 f"{len(times)} times for {len(sizes)} sizes"
             )
-        if times:
-            return Distribution(Part(d, t) for d, t in zip(sizes, times))
-        return Distribution(Part(d) for d in sizes)
+        sizes = list(sizes)
+        times = list(times) if times else [0.0] * len(sizes)
+        if not sizes:
+            raise PartitionError("distribution must have at least one part")
+        if any(d < 0 for d in sizes) or any(t < 0.0 for t in times):
+            for d, t in zip(sizes, times):
+                Part(d, t)  # raises the offending part's error
+        dist = Distribution.__new__(Distribution)
+        dist._parts, dist._sizes, dist._times = None, sizes, times
+        return dist
+
+    @property
+    def parts(self) -> List[Part]:
+        """Per-process :class:`Part` objects in rank order (read them only)."""
+        if self._parts is None:
+            self._parts = [Part(d, t) for d, t in zip(self._sizes, self._times)]
+        return self._parts
 
     @property
     def size(self) -> int:
         """Number of processes."""
-        return len(self.parts)
+        return len(self._sizes)
 
     @property
     def total(self) -> int:
         """Total problem size ``D`` in computation units."""
-        return sum(p.d for p in self.parts)
+        return sum(self._sizes)
 
     @property
     def sizes(self) -> List[int]:
         """Per-process sizes in rank order."""
-        return [p.d for p in self.parts]
+        return list(self._sizes)
 
     @property
     def times(self) -> List[float]:
         """Per-process predicted times in rank order."""
-        return [p.t for p in self.parts]
+        return list(self._times)
 
     @property
     def predicted_makespan(self) -> float:
         """Largest predicted per-process time."""
-        return max(p.t for p in self.parts)
+        return max(self._times)
 
     @property
     def predicted_imbalance(self) -> float:
@@ -89,8 +113,8 @@ class Distribution:
 
         Zero for a single process or when all predicted times are zero.
         """
-        tmax = max(p.t for p in self.parts)
-        tmin = min(p.t for p in self.parts)
+        tmax = max(self._times)
+        tmin = min(self._times)
         if tmax <= 0.0:
             return 0.0
         return (tmax - tmin) / tmax
@@ -108,13 +132,13 @@ class Distribution:
             )
         reference = max(self.total / self.size, 1.0)
         return max(
-            abs(a.d - b.d) / reference for a, b in zip(self.parts, other.parts)
+            abs(a - b) / reference for a, b in zip(self._sizes, other._sizes)
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        return self.sizes == other.sizes
+        return self._sizes == other._sizes
 
     def __iter__(self):
         return iter(self.parts)

@@ -27,7 +27,10 @@ evaluation, any other model through its own
 allocations found at the bracketing levels are carried to the next step:
 by monotonicity of ``x_i(T)`` they bound every interior allocation, so a
 model that searches starts from an already tight bracket instead of
-``[0, D]``.
+``[0, D]``.  So are the stacked rows' knot intervals there, which are
+monotone in ``T`` too: a row whose interval the bracket pins is inverted
+without searching its knot times, and after the first steps of a solve
+almost every row is pinned.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
-from repro.core.partition.batch import ModelBank
+from repro.core.partition.batch import ModelBank, _part_values
 from repro.core.partition.cert import ConvergenceCert, certify
-from repro.core.partition.dist import Distribution, Part, round_preserving_sum
+from repro.core.partition.dist import Distribution, round_preserving_sum
 from repro.core.partition.validate import validate_partition_inputs
 from repro.core.partition.warm import WarmStart, warm_bracket
 from repro.errors import PartitionError
@@ -142,15 +145,15 @@ def solve_geometric(
     size = bank.size
     if total == 0:
         return certify(
-            Distribution(Part(0, 0.0) for _ in range(size)),
+            Distribution.from_sizes([0] * size),
             ConvergenceCert("geometric", True, 0, max_iter, 0.0, tol,
                             "trivial: total is 0"),
             strict, certs,
         )
-    at_total = bank.times(np.full(size, float(total)))
+    at_total = bank._at_total(total)
     if size == 1:
         return certify(
-            Distribution([Part(total, float(at_total[0]))]),
+            Distribution.from_sizes([total], [float(at_total[0])]),
             ConvergenceCert("geometric", True, 0, max_iter, 0.0, tol,
                             "trivial: single process"),
             strict, certs,
@@ -177,17 +180,17 @@ def solve_geometric(
             )
 
     # Invariant: excess(lo) < 0 <= excess(hi).  excess(0) = -D, and at
-    # t_hi the fastest process alone reaches D.  alloc_lo/alloc_hi are the
-    # per-model allocations at the bracketing levels; they bound every
-    # allocation probed inside the bracket (x_i(T) is monotone in T).
+    # t_hi the fastest process alone reaches D.  end_lo/end_hi are the
+    # per-model allocations and the stacked rows' knot intervals at the
+    # bracketing levels; they bound every allocation and interval probed
+    # inside the bracket (both are monotone in T).
     if warm_start is not None:
-        lo, hi, alloc_lo, alloc_hi = warm_bracket(
+        lo, hi, end_lo, end_hi = warm_bracket(
             warm_start, total, bank, cap, t_hi
         )
     else:
         lo, hi = 0.0, t_hi
-        alloc_lo = np.zeros(size)
-        alloc_hi = np.full(size, cap)
+        end_lo, end_hi = (np.zeros(size), None), (np.full(size, cap), None)
     level: Optional[float] = None
     exact: Optional[np.ndarray] = None
     converged = False
@@ -200,7 +203,7 @@ def solve_geometric(
             break
         iterations += 1
         levels = lo + (hi - lo) * fractions
-        allocs = bank.allocations(levels, cap, alloc_lo, alloc_hi)
+        allocs, knots = bank._bracketed(levels, cap, end_lo, end_hi)
         residuals = allocs.sum(axis=0) - cap
         if trace is not None:
             for j in range(levels.size):
@@ -215,16 +218,14 @@ def solve_geometric(
         j = int(np.searchsorted(residuals > 0.0, True))
         if j < levels.size:
             hi = float(levels[j])
-            alloc_hi = allocs[:, j]
+            end_hi = (allocs[:, j], knots[:, j])
         if j > 0:
             lo = float(levels[j - 1])
-            alloc_lo = allocs[:, j - 1]
+            end_lo = (allocs[:, j - 1], knots[:, j - 1])
 
     if level is None:
         level = 0.5 * (lo + hi)
-        exact = bank.allocations(
-            np.asarray([level]), cap, alloc_lo, alloc_hi
-        )[:, 0]
+        exact = bank._bracketed(np.asarray([level]), cap, end_lo, end_hi)[0][:, 0]
         if not converged:
             detail = "iteration cap hit before the bracket closed"
     # The converged level is always the last trace entry, so the trace
@@ -232,10 +233,7 @@ def solve_geometric(
     record(level, exact, float(exact.sum()) - cap)
     shares: List[float] = [float(a) for a in exact]
     sizes = round_preserving_sum(shares, total)
-    times = bank.times(np.asarray(sizes, dtype=float))
-    dist = Distribution(
-        Part(d, float(times[i]) if d > 0 else 0.0) for i, d in enumerate(sizes)
-    )
+    dist = Distribution.from_sizes(sizes, _part_values(bank, sizes))
     cert = ConvergenceCert(
         algorithm="geometric",
         converged=converged,

@@ -25,9 +25,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
-from repro.core.partition.batch import ModelBank
+from repro.core.partition.batch import ModelBank, _part_values
 from repro.core.partition.cert import ConvergenceCert, certify
-from repro.core.partition.dist import Distribution, Part, round_preserving_sum
+from repro.core.partition.dist import Distribution, round_preserving_sum
 from repro.core.partition.geometric import solve_geometric
 from repro.core.partition.validate import validate_partition_inputs
 from repro.core.partition.warm import WarmStart
@@ -116,21 +116,21 @@ def partition_numerical(
     size = len(models)
     if total == 0:
         return certify(
-            Distribution(Part(0, 0.0) for _ in range(size)),
+            Distribution.from_sizes([0] * size),
             ConvergenceCert("numerical", True, 0, max_iter, 0.0, tol,
                             "trivial: total is 0"),
             strict, certs,
         )
     if size == 1:
         return certify(
-            Distribution([Part(total, float(bank.times([float(total)])[0]))]),
+            Distribution.from_sizes([total], [float(bank._at_total(total)[0])]),
             ConvergenceCert("numerical", True, 0, max_iter, 0.0, tol,
                             "trivial: single process"),
             strict, certs,
         )
 
     seed = solve_geometric(total, bank, warm_start=warm_start)
-    x0 = np.asarray([float(p.d) for p in seed.parts])
+    x0 = np.asarray(seed.sizes, dtype=float)
     # Strictly interior start helps when a part was rounded to zero.
     x0 = np.maximum(x0, 1e-3)
 
@@ -177,10 +177,7 @@ def partition_numerical(
         )
         return certify(seed, cert, strict, certs)
     sizes = round_preserving_sum(shares, total)
-    times = bank.times(np.asarray(sizes, dtype=float))
-    dist = Distribution(
-        Part(d, float(times[i]) if d > 0 else 0.0) for i, d in enumerate(sizes)
-    )
+    dist = Distribution.from_sizes(sizes, _part_values(bank, sizes))
     cert = ConvergenceCert(
         algorithm="numerical",
         converged=True,

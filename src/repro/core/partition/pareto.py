@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.models.base import PerformanceModel
-from repro.core.partition.batch import ModelBank
+from repro.core.partition.batch import ModelBank, _part_values
 from repro.core.partition.cert import ConvergenceCert
 from repro.core.partition.dist import round_preserving_sum
 from repro.core.partition.geometric import solve_geometric
@@ -292,20 +292,13 @@ def _objective_scales(
     total: int, time_bank: ModelBank, energy_bank: ModelBank
 ) -> Tuple[float, float]:
     """Dimensionless-blend normalisers: single-device minima at ``total``."""
-    at_total = np.full(time_bank.size, float(total))
-    t_scale = float(time_bank.times(at_total).min())
-    e_scale = float(energy_bank.times(at_total).min())
+    t_scale = float(time_bank._at_total(total).min())
+    e_scale = float(energy_bank._at_total(total).min())
     if not (t_scale > 0.0 and e_scale > 0.0):
         raise PartitionError(
             "models predict non-positive time/energy for the total size"
         )
     return t_scale, e_scale
-
-
-def _part_values(bank: ModelBank, sizes: Sequence[int]) -> List[float]:
-    """Each rank's predicted value at its share, 0.0 where the share is 0."""
-    d = np.asarray(sizes, dtype=float)
-    return np.where(d > 0, bank.times(d), 0.0).tolist()
 
 
 def _evaluate_point(

@@ -75,8 +75,8 @@ def validate_partition_inputs(total, models: Sequence, bank=None) -> int:
 
     The times at ``total`` are evaluated in one call of ``bank`` (a
     :class:`~repro.core.partition.batch.ModelBank` over ``models``; one
-    is built when none is given), so a partitioner that solves on a
-    bank validates on the same one.  A bank whose models passed the
+    is built when none is given), which keeps them for the solve that
+    follows on the same bank.  A bank whose models passed the
     point-count check before is not checked again.
     """
     if not models:
@@ -102,7 +102,7 @@ def validate_partition_inputs(total, models: Sequence, bank=None) -> int:
                 )
         bank.checked = True
     try:
-        times = bank.times(np.full(len(models), float(n)))
+        times = bank._at_total(n)
     except Exception:
         # Name the rank: re-evaluate one model at a time up to the culprit.
         for rank, model in enumerate(models):

@@ -113,16 +113,16 @@ def warm_bracket(
     to the cold bracket rather than to a wrong answer.
 
     Returns:
-        ``(lo, hi, alloc_lo, alloc_hi)`` -- the (possibly) narrowed
-        bracket and the per-model allocations at its ends.
+        ``(lo, hi, end_lo, end_hi)`` -- the (possibly) narrowed bracket
+        and, at each of its ends, the per-model allocations and the
+        stacked rows' knot intervals (``None`` at a cold end: unknown).
     """
     size = bank.size
     lo, hi = 0.0, t_hi
-    alloc_lo = np.zeros(size)
-    alloc_hi = np.full(size, cap)
+    end_lo, end_hi = (np.zeros(size), None), (np.full(size, cap), None)
     t_est = warm.scaled_level(total)
     if not (0.0 < t_est < t_hi):
-        return lo, hi, alloc_lo, alloc_hi
+        return lo, hi, end_lo, end_hi
     # A tight pair around the hint plus looser guards; sorted and unique.
     candidates = np.unique(np.clip(
         np.asarray([0.5 * t_est, 0.95 * t_est, 1.05 * t_est, 2.0 * t_est]),
@@ -130,16 +130,16 @@ def warm_bracket(
     ))
     candidates = candidates[(candidates > 0.0) & (candidates < t_hi)]
     if candidates.size == 0:
-        return lo, hi, alloc_lo, alloc_hi
-    allocs = bank.allocations(candidates, cap, alloc_lo, alloc_hi)
+        return lo, hi, end_lo, end_hi
+    allocs, knots = bank._bracketed(candidates, cap, end_lo, end_hi)
     residuals = allocs.sum(axis=0) - cap
     for j in range(candidates.size):
         level = float(candidates[j])
         if residuals[j] < 0.0 and level > lo:
             lo = level
-            alloc_lo = allocs[:, j]
+            end_lo = (allocs[:, j], knots[:, j])
         elif residuals[j] >= 0.0 and level < hi:
             hi = level
-            alloc_hi = allocs[:, j]
+            end_hi = (allocs[:, j], knots[:, j])
             break  # candidates are sorted; later ones are looser
-    return lo, hi, alloc_lo, alloc_hi
+    return lo, hi, end_lo, end_hi

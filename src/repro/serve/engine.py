@@ -226,8 +226,8 @@ class PlanEngine:
         return PlanResult(
             key=request.key,
             total=request.total,
-            sizes=tuple(p.d for p in dist.parts),
-            times=tuple(p.t for p in dist.parts),
+            sizes=tuple(dist.sizes),
+            times=tuple(dist.times),
             algorithm=cert.algorithm if cert is not None else "degraded",
             cert=cert,
             cached=False,
@@ -365,8 +365,8 @@ class PlanEngine:
             PlanResult(
                 key=request.key,
                 total=request.total,
-                sizes=tuple(p.d for p in dist.parts),
-                times=tuple(p.t for p in dist.parts),
+                sizes=tuple(dist.sizes),
+                times=tuple(dist.times),
                 algorithm=cert.algorithm if cert is not None else request.partitioner,
                 cert=cert,
                 cached=False,

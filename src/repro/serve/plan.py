@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.partition.cert import ConvergenceCert
-from repro.core.partition.dist import Distribution, Part
+from repro.core.partition.dist import Distribution
 from repro.core.partition.pareto import ParetoPoint
 from repro.errors import PartitionError
 from repro.serve.fingerprint import fingerprint_objective_request
@@ -179,9 +179,7 @@ class PlanResult:
 
     def distribution(self) -> Distribution:
         """Rebuild a fresh :class:`Distribution` (cert re-attached)."""
-        dist = Distribution(
-            Part(d, t) for d, t in zip(self.sizes, self.times)
-        )
+        dist = Distribution.from_sizes(self.sizes, self.times)
         if self.cert is not None:
             dist.convergence = self.cert
         return dist

@@ -81,6 +81,25 @@ class TestBalancerRestored:
         assert balancer.partition is _failing
 
 
+class TestIterationsCoverTheRun:
+    """Every moment of a run, crash evacuation included, is in one record."""
+
+    @pytest.mark.parametrize("app", APPS)
+    @pytest.mark.parametrize("crashes", [{}, {1: 2, 5: 4}], ids=["plain", "crashes"])
+    def test_makespans_add_up_to_the_total_time(self, app, crashes):
+        platform = heterogeneous_cluster()
+        plan = FaultPlan(
+            {r: RankFaults(crash_at=at) for r, at in crashes.items()}, seed=9
+        )
+        result = _run(app, platform, _balancer(platform, ROWS[app]),
+                      fault_plan=plan)
+        assert len(result.records) > max(crashes.values(), default=0)
+        assert result.failed_ranks == sorted(crashes)
+        assert sum(result.iteration_makespans) == pytest.approx(
+            result.total_time, rel=1e-12, abs=0.0
+        )
+
+
 @pytest.mark.faults
 class TestOptionCombinations:
     @pytest.mark.parametrize("app", APPS)
