@@ -36,9 +36,46 @@ import numpy as np
 from repro.core.point import MeasurementPoint
 from repro.errors import ModelError
 
+#: The scalar evaluators a family's batch kernels are closed forms of.
+_SCALARS = ("time", "speed")
+#: The batch kernels, generic here and closed forms in some families.
+_KERNELS = ("_time_batch_impl", "allocation_batch")
+
+
+def _definer(cls: type, name: str) -> type:
+    """The class on ``cls``'s MRO whose body defines ``name``."""
+    return next(k for k in cls.__mro__ if name in vars(k))
+
 
 class PerformanceModel(abc.ABC):
     """Approximation of a process's execution time as a function of size."""
+
+    #: The family whose closed-form kernels and scalar methods this class
+    #: runs unchanged (``PiecewiseModel`` for its energy twin too), or
+    #: None.  Set once per class; the model bank stacks a row only when
+    #: this names a family it can stack.
+    _closed_form: Optional[type] = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Keep a subclass's batch kernels true to its ``time``.
+
+        A family's closed-form kernels read its fitted knots or
+        coefficients, not ``time``.  A subclass that redefines ``time``
+        or ``speed`` below the class that wrote a kernel gets the generic
+        kernel instead, which goes through ``time``.
+        """
+        super().__init_subclass__(**kwargs)
+        mro = cls.__mro__
+        first_scalar = min(mro.index(_definer(cls, name)) for name in _SCALARS)
+        for name in _KERNELS:
+            owner = _definer(cls, name)
+            if owner is not PerformanceModel and first_scalar < mro.index(owner):
+                setattr(cls, name, vars(PerformanceModel)[name])
+        owner = _definer(cls, "allocation_batch")
+        cls._closed_form = owner if owner is not PerformanceModel and all(
+            _definer(cls, name) in (owner, PerformanceModel)
+            for name in _SCALARS + ("_time_batch_impl",)
+        ) else None
 
     def __init__(self) -> None:
         self._points: List[MeasurementPoint] = []

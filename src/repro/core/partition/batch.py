@@ -14,9 +14,10 @@ Rows whose class evaluates with the piecewise family's closed forms
 (:class:`~repro.core.models.piecewise.PiecewiseModel` and
 :class:`~repro.core.models.constant.ConstantModel`, with their energy
 twins) are stacked into one
-:class:`~repro.core.models.piecewise.LevelTable`.  A subclass that
-overrides any method those closed forms stand in for keeps its own, as
-does every other model (Akima, PCHIP, segmented, linear, blends,
+:class:`~repro.core.models.piecewise.LevelTable`; the models decide
+which classes those are (``PerformanceModel._closed_form``).  A subclass
+that overrides any method those closed forms stand in for keeps its own,
+as does every other model (Akima, PCHIP, segmented, linear, blends,
 duck-typed models): those rows call the model's own ``allocation_batch``,
 ``time`` and ``time_batch``.  Either way a row's answer is bit-identical
 to the per-model call.
@@ -37,17 +38,10 @@ from repro.core.models.base import PerformanceModel
 from repro.core.models.constant import ConstantModel
 from repro.core.models.piecewise import LevelTable, PiecewiseModel
 
-#: The methods a stacked row's closed forms stand in for.
-_CLOSED_FORM = ("time", "speed", "_time_batch_impl", "allocation_batch")
-
 
 def _stackable(cls: type) -> bool:
     """Whether ``cls`` evaluates with an unmodified stackable family's methods."""
-    return any(
-        issubclass(cls, family)
-        and all(getattr(cls, name) is getattr(family, name) for name in _CLOSED_FORM)
-        for family in (PiecewiseModel, ConstantModel)
-    )
+    return getattr(cls, "_closed_form", None) in (PiecewiseModel, ConstantModel)
 
 
 class ModelBank(SequenceABC):
@@ -94,14 +88,10 @@ class ModelBank(SequenceABC):
     def _build(self) -> None:
         if self._built:
             return
-        verdicts: Dict[type, bool] = {}
         rows: List[int] = []
         fallback: List[int] = []
         for i, model in enumerate(self.models):
-            cls = type(model)
-            if cls not in verdicts:
-                verdicts[cls] = _stackable(cls)
-            (rows if verdicts[cls] else fallback).append(i)
+            (rows if _stackable(type(model)) else fallback).append(i)
         if rows:
             # A fit that raises leaves the bank unbuilt, to try again.
             self._table = LevelTable([self.models[i].level_knots() for i in rows])

@@ -44,6 +44,9 @@ from repro.serve.frontend import (
 )
 from repro.serve.server import PlanServer
 
+#: Threads of the front end's miss-path executor.
+EXECUTOR_THREADS = 8
+
 #: An extra route handler: ``(path, payload) -> (status, response dict)``.
 #: Must be fast and non-blocking -- it runs inline on the event loop.
 RouteHandler = Callable[[str, Optional[Dict[str, Any]]], Tuple[int, Dict[str, Any]]]
@@ -380,7 +383,6 @@ class AioFrontend(AsyncHTTPBase):
             request is served.  The fleet uses it to model heterogeneous
             shard service rates (a blocking sleep genuinely consumes this
             worker's serving capacity, exactly like a slower processor).
-        executor_threads: thread-pool size for the miss path.
     """
 
     def __init__(
@@ -391,14 +393,13 @@ class AioFrontend(AsyncHTTPBase):
         max_body_bytes: int = MAX_BODY_BYTES,
         extra_routes: Optional[Mapping[str, RouteHandler]] = None,
         plan_hook: Optional[Callable[[], None]] = None,
-        executor_threads: int = 8,
     ) -> None:
         super().__init__(host, port, max_body_bytes, "fupermod-aio-frontend")
         self.server = server
         self.extra_routes = dict(extra_routes or {})
         self.plan_hook = plan_hook
         self._pool = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="fupermod-aio"
+            max_workers=EXECUTOR_THREADS, thread_name_prefix="fupermod-aio"
         )
 
     def _route_extra(

@@ -417,16 +417,8 @@ class PlanEngine:
         if hit is not None:
             return hit.replace(cached=True)
         # The spec rides along with cached entries so a model refit can
-        # re-solve exactly the requests this cache was answering.  Time
-        # plans keep the historical 3-tuple (byte parity with persisted
-        # caches and replicas written before plan kinds existed); other
-        # kinds append their kind and objective so the re-solve -- and
-        # the cache's cross-kind aliasing guard -- see them.
-        spec: Tuple[Any, ...] = (
-            request.total, request.partitioner, request.option_dict()
-        )
-        if request.kind != "time":
-            spec = spec + (request.kind, request.objective_dict())
+        # re-solve exactly the requests this cache was answering.
+        spec = request.spec
         if self.sibling_fill is not None:
             filled = self._from_sibling(request)
             if filled is not None:

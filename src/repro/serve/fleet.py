@@ -51,6 +51,13 @@ PathLike = Union[str, Path]
 #: Batch sizes of the startup service-rate probe (requests per timing).
 PROBE_BATCHES = (1, 2, 4, 8)
 
+#: The problem size the startup probe plans, distinct from real traffic
+#: so the probe's plan stays cache-warm.
+PROBE_TOTAL = 654_321
+
+#: Seconds each worker is allowed to become ready.
+STARTUP_TIMEOUT_S = 30.0
+
 
 def _worker_env() -> Dict[str, str]:
     """The child's environment: inherit, with our import path exported."""
@@ -114,11 +121,9 @@ class PlanFleet:
             (cycled if shorter than ``workers``); models a heterogeneous
             fleet on a homogeneous host.  0 disables.
         probe: measure each worker's hit-path service rate at startup
-            and seed the balancer's performance models from it.
-        probe_total: the problem size the probe plans (kept distinct
-            from real traffic so probes stay cache-warm).
+            (planning :data:`PROBE_TOTAL`) and seed the balancer's
+            performance models from it.
         host / port: router bind address (port 0 = ephemeral).
-        startup_timeout: seconds allowed for each worker to become ready.
         worker_args: extra argv appended to every worker command line:
             the stack flags of :mod:`repro.serve.stack` (``--model``,
             ``--threads``, ``--durability-budget``, ...), which default
@@ -142,10 +147,8 @@ class PlanFleet:
         cache_dir: Optional[PathLike] = None,
         slowdowns_ms: Optional[Sequence[float]] = None,
         probe: bool = True,
-        probe_total: int = 654_321,
         host: str = "127.0.0.1",
         port: int = 0,
-        startup_timeout: float = 30.0,
         worker_args: Optional[Sequence[str]] = None,
         replicas: int = 2,
         disk_fault_plan: Optional[PathLike] = None,
@@ -154,8 +157,6 @@ class PlanFleet:
             raise FuPerModError(f"a fleet needs at least one worker, got {workers}")
         self.points = Path(points)
         self.probe = probe
-        self.probe_total = probe_total
-        self.startup_timeout = startup_timeout
         self.worker_args = list(worker_args or [])
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
@@ -213,7 +214,7 @@ class PlanFleet:
             text=True,
             env=_worker_env(),
         )
-        ready = _read_ready(shard.proc, self.startup_timeout)
+        ready = _read_ready(shard.proc, STARTUP_TIMEOUT_S)
         shard.url = str(ready["url"])
         shard.client = ShardClient(shard.url, shard.shard_id, timeout=10.0)
         return ready
@@ -234,7 +235,7 @@ class PlanFleet:
     def _probe_shard(self, shard: _Shard) -> List[Any]:
         """Measure this worker's hit-path service rate: (batch, seconds)."""
         client = shard.client
-        payload = {"cmd": "plan", "total": self.probe_total}
+        payload = {"cmd": "plan", "total": PROBE_TOTAL}
         client.plan(payload)  # cold solve; everything after is the hit path
         points = []
         for batch in PROBE_BATCHES:

@@ -109,6 +109,22 @@ class PlanRequest:
             self.partitioner, dict(self.options), dict(self.objective),
         )
 
+    @functools.cached_property
+    def spec(self) -> Tuple[Any, ...]:
+        """``(total, partitioner, options[, kind, objective])``.
+
+        What a cache entry, a journal line and a replica push record to
+        re-solve this request after a model refit.  Time plans keep the
+        historical 3-tuple (byte parity with persisted caches and
+        replicas written before plan kinds existed); other kinds append
+        their kind and objective, so the re-solve -- and the cache's
+        cross-kind aliasing guard -- see them.
+        """
+        spec = (self.total, self.partitioner, self.option_dict())
+        if self.kind != "time":
+            return spec + (self.kind, self.objective_dict())
+        return spec
+
     def option_dict(self) -> Dict[str, Any]:
         """The options as a plain keyword-argument dict."""
         return dict(self.options)

@@ -29,12 +29,16 @@ serving a failed-over read is bit-identical to the home serving it --
 the netsplit chaos suite asserts this.  Each push also carries the
 home's lineage epoch, so peers (and ``/digest`` readers) can see how
 current the source's models were.
+
+The replicator holds the worker's one view of its peers: one ring and
+one :class:`~repro.serve.shard.ShardClient` per peer, which carry both
+the pushes above and the engine's sibling fill
+(:meth:`PlanReplicator.sibling_fill`), so a roster change or a cut link
+reaches both at once.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
@@ -56,6 +60,25 @@ _HINT_VERSION = 1
 
 #: Default replica set size: the home shard plus one successor.
 DEFAULT_REPLICA_SET = 2
+
+#: Peers asked for a cached plan before a local miss solves cold.  Not
+#: tied to the replica set size: a ``replicas=1`` fleet still fills from
+#: the home shard.
+FILL_PROBES = 2
+
+#: Socket timeout of a peer client, seconds: the request path's bound,
+#: since fills run on it.  A push that times out becomes a hint.
+PEER_TIMEOUT_S = 2.0
+
+
+def _spec_affinity(spec: Optional[Sequence[Any]]) -> Optional[str]:
+    """The ring key of a request spec, or None when it cannot be placed."""
+    if not spec:
+        return None
+    try:
+        return affinity_key(int(spec[0]), str(spec[1]), spec[2] or {})
+    except Exception:
+        return None
 
 
 def entry_fingerprint(key: str, result: PlanResult) -> str:
@@ -168,6 +191,8 @@ class HintLog(AppendJournal):
 class PlanReplicator:
     """Push committed plans to their ring successors, hinting on failure.
 
+    It also answers the engine's sibling fill from the same peers.
+
     Args:
         shard_id: this shard's fleet identity (excluded from push
             targets -- the home already holds the entry).
@@ -178,7 +203,6 @@ class PlanReplicator:
             pushing entirely (the pre-replication fleet).
         hint_path: optional durable hint journal; ``None`` keeps hints
             in memory only (lost on crash, repaired by anti-entropy).
-        timeout: per-push socket timeout, seconds.
         retry_interval: seconds between background hint-drain attempts
             while hints are pending.
         max_hints: in-memory hint cap; beyond it the oldest hint is
@@ -186,8 +210,9 @@ class PlanReplicator:
             anti-entropy repairs whatever abandoned hints would have
             delivered.  A partition must bound memory, not grow it.
         client_factory: ``(url, shard_id, timeout) -> ShardClient``
-            seam; the worker passes a chaos-wrapping factory so the
-            transport-fault layer covers replication traffic too.
+            seam, called once per peer per roster; the worker passes a
+            chaos-wrapping factory so the transport-fault layer covers
+            pushes and fills alike.
         epoch_source: optional zero-argument callable returning this
             shard's current ``(epoch, models_fingerprint)``; stamped on
             every push and digest so peers can see source currency.
@@ -199,7 +224,6 @@ class PlanReplicator:
         cache: PlanCache,
         replicas: int = DEFAULT_REPLICA_SET,
         hint_path: Optional[PathLike] = None,
-        timeout: float = 5.0,
         retry_interval: float = 2.0,
         max_hints: int = 512,
         client_factory: Optional[
@@ -215,7 +239,6 @@ class PlanReplicator:
         self.shard_id = shard_id
         self.cache = cache
         self.replicas = replicas
-        self.timeout = timeout
         self.retry_interval = retry_interval
         self.max_hints = max_hints
         self.epoch_source = epoch_source
@@ -273,11 +296,13 @@ class PlanReplicator:
     # -- membership --------------------------------------------------------
 
     def set_peers(self, peers: Sequence[Dict[str, str]]) -> int:
-        """Install the roster; a roster change wakes the hint drainer.
+        """Install the roster (``[{"shard_id", "url"}, ...]``, self included).
 
-        The supervisor re-broadcasts the roster whenever membership
-        changes -- including when a dead peer rejoins -- so this doubles
-        as the peer-recovery signal that triggers hint handoff.
+        Builds the ring and one client per peer, which pushes and fills
+        share, and returns the peer count.  The supervisor re-broadcasts
+        the roster whenever membership changes -- including when a dead
+        peer rejoins -- so this doubles as the peer-recovery signal that
+        wakes the hint drainer.
         """
         clients: Dict[str, ShardClient] = {}
         ring = HashRing()
@@ -285,7 +310,7 @@ class PlanReplicator:
             sid, url = str(peer["shard_id"]), str(peer["url"])
             ring.add(sid)
             if sid != self.shard_id:
-                clients[sid] = self._client_factory(url, sid, self.timeout)
+                clients[sid] = self._client_factory(url, sid, PEER_TIMEOUT_S)
         with self._cv:
             old = self._clients
             self._clients = clients
@@ -298,24 +323,44 @@ class PlanReplicator:
                 pass
         return len(clients)
 
+    # -- the read path (engine hook) ---------------------------------------
+
+    def sibling_fill(self, request: PlanRequest) -> Optional[PlanResult]:
+        """A peer's cached plan for ``request``, or None (the engine's fill).
+
+        Peers are asked with a pure cache peek (``GET /cache/<key>``) in
+        ring preference order for the request's affinity key, so the
+        home shard, which the router sends that key to, is asked first.
+        A peer that fails is skipped; at most :data:`FILL_PROBES` are
+        asked before the engine solves cold.  The engine validates what
+        comes back.
+        """
+        with self._cv:
+            clients, ring = self._clients, self._ring
+        key = _spec_affinity(request.spec) if clients else None
+        if key is None:
+            return None
+        order = [sid for sid in ring.preference(key) if sid in clients]
+        for sid in order[:FILL_PROBES]:
+            try:
+                got = clients[sid].get_cached(request.key)
+            except Exception:
+                continue  # dead peer: the next preference may answer
+            if got is not None:
+                return got
+        return None
+
     # -- the write path (engine hook) --------------------------------------
 
     def plan_committed(self, request: PlanRequest, result: PlanResult) -> None:
         """Queue one freshly committed plan for replication (non-blocking)."""
         if self.replicas <= 1:
             return
-        spec: List[Any] = [request.total, request.partitioner,
-                           request.option_dict()]
-        if request.kind != "time":
-            # Kinded plans carry their kind (and objective) in the spec,
-            # so the receiving cache's cross-kind aliasing guard sees the
-            # same identity the home stored the entry under.
-            spec.extend([request.kind, request.objective_dict()])
         entry = {
             "key": request.key,
             "models_fp": request.models_fp,
             "result": result.to_dict(),
-            "spec": spec,
+            "spec": list(request.spec),
             "source": self.shard_id,
         }
         if self.epoch_source is not None:
@@ -364,16 +409,10 @@ class PlanReplicator:
 
     def _targets(self, entry: Dict[str, Any]) -> List[str]:
         """The replica set for this entry's affinity key, minus self."""
-        spec = entry.get("spec")
-        if not spec:
-            return []
-        try:
-            key = affinity_key(int(spec[0]), str(spec[1]), spec[2] or {})
-        except Exception:
-            return []
+        key = _spec_affinity(entry.get("spec"))
         with self._cv:
             ring = self._ring
-        if len(ring) == 0:
+        if key is None or len(ring) == 0:
             return []
         return [
             sid for sid in ring.replica_set(key, self.replicas)
@@ -503,21 +542,10 @@ class PlanReplicator:
         without a request spec have a ``null`` affinity -- they cannot
         be placed on the ring, so anti-entropy skips them.
         """
-        entries = []
-        for item in self.cache.to_payload():
-            key = str(item["key"])
-            result = PlanResult.from_dict(item["result"])
-            spec = item.get("spec")
-            affinity: Optional[str] = None
-            if spec:
-                try:
-                    affinity = affinity_key(
-                        int(spec[0]), str(spec[1]), spec[2] or {}
-                    )
-                except Exception:
-                    affinity = None
-            entries.append([key, entry_fingerprint(key, result), affinity])
-        entries.sort(key=lambda e: e[0])
+        entries = sorted(
+            [key, entry_fingerprint(key, result), _spec_affinity(spec)]
+            for key, _models_fp, result, spec in self.cache.payload_items()
+        )
         with self._cv:
             self.counters["digests_served"] += 1
             pending_hints = len(self._hints)

@@ -52,20 +52,71 @@ from repro.core.models import PiecewiseModel
 from repro.core.point import MeasurementPoint
 from repro.errors import FuPerModError, PartitionError
 from repro.serve.aio import (
-    MAX_BODY_BYTES, AsyncHTTPBase, Reply, merge_deadline_header,
-    read_header_block,
+    AsyncHTTPBase, Reply, merge_deadline_header, read_header_block,
 )
 from repro.serve.fingerprint import affinity_key
-from repro.serve.hashring import DEFAULT_REPLICAS, HashRing
+from repro.serve.hashring import HashRing
 from repro.serve.shard import DEADLINE_HEADER, parse_base_url
 
 #: Schema marker of the router's aggregated ``/metrics`` payload.
 FLEET_METRICS_SCHEMA = "fupermod-fleet-metrics/4"
 
+#: Registered partitioner that divides the balancer's slot budget (the
+#: dogfooding seam: the algorithm that splits matrices splits requests).
+BALANCE_PARTITIONER = "geometric"
+
 #: Slot budget the partitioner divides among workers.  Finer than the
 #: worker count by orders of magnitude so shares resolve small speed
 #: differences; coarse enough that geometric partitioning is instant.
 BALANCE_SLOTS = 240
+
+#: Observed latencies kept per worker for the balancer's online refits.
+BALANCE_WINDOW = 256
+
+#: Observations between the balancer's automatic refits.
+BALANCE_REFRESH_EVERY = 64
+
+#: Concurrent keep-alive connections the router holds per worker.
+LINK_POOL = 8
+
+#: Seconds one relay to a worker may take.
+WORKER_TIMEOUT_S = 30.0
+
+#: Seconds between the router's health probe rounds over its shards.
+PROBE_INTERVAL_S = 1.0
+
+#: Seconds one health probe may take.
+PROBE_TIMEOUT_S = 2.0
+
+
+def _fold(
+    per_shard: Mapping[str, Any],
+    section: str,
+    numbers: Tuple[type, ...] = (int, float),
+) -> Tuple[int, Dict[str, Any], Dict[str, int]]:
+    """Sum one ``/metrics`` section over the shards that report it.
+
+    Returns ``(shards reporting, per-field totals, modes)``: fields of
+    the ``numbers`` types are summed (bools are flags, not counts, and
+    are skipped like any other value) and string ``mode`` fields are
+    tallied.  A shard that was unreachable or lacks the section adds
+    nothing.
+    """
+    totals: Dict[str, Any] = {}
+    modes: Dict[str, int] = {}
+    reporting = 0
+    for info in per_shard.values():
+        fields = info.get(section) if isinstance(info, dict) else None
+        if not isinstance(fields, dict):
+            continue
+        reporting += 1
+        mode = fields.get("mode")
+        if isinstance(mode, str):
+            modes[mode] = modes.get(mode, 0) + 1
+        for name, value in fields.items():
+            if isinstance(value, numbers) and not isinstance(value, bool):
+                totals[str(name)] = totals.get(str(name), 0) + value
+    return reporting, totals, modes
 
 
 class RetryBudget:
@@ -167,47 +218,30 @@ class RoundRobinBalancer:
 class FpmBalancer:
     """Load shares from functional performance models of the workers.
 
-    Args:
-        shard_ids: the fleet's worker identities.
-        partitioner: registered partitioner dividing the slot budget
-            (the dogfooding seam -- the same algorithm that splits
-            matrices splits the request stream).
-        slots: integer slot budget to divide (resolution of the shares).
-        window: sliding-window length of observed per-request latencies
-            kept per worker for online refits.
-        refresh_every: observations between automatic refits.
+    :data:`BALANCE_PARTITIONER` divides :data:`BALANCE_SLOTS` integer
+    slots among the live workers in proportion to their modelled speed.
 
     Seeding: the supervisor measures each worker's hit-path service rate
     at startup (timed batches of b requests) and calls :meth:`seed` with
     ``(batch, seconds)`` points; these become the worker's FPM exactly
     as kernel benchmarks become a device's FPM.  :meth:`observe` feeds
-    per-request latencies from live traffic; every ``refresh_every``
-    observations the models refit from the sliding window and the
-    shares re-partition.
+    per-request latencies from live traffic, kept in a sliding window of
+    :data:`BALANCE_WINDOW` per worker; every
+    :data:`BALANCE_REFRESH_EVERY` observations the models refit from the
+    window and the shares re-partition.
     """
 
-    def __init__(
-        self,
-        shard_ids: Sequence[str],
-        partitioner: str = "geometric",
-        slots: int = BALANCE_SLOTS,
-        window: int = 256,
-        refresh_every: int = 64,
-    ) -> None:
-        if slots < len(shard_ids):
+    def __init__(self, shard_ids: Sequence[str]) -> None:
+        if BALANCE_SLOTS < len(shard_ids):
             raise FuPerModError(
-                f"{slots} slots cannot cover {len(shard_ids)} workers"
+                f"{BALANCE_SLOTS} slots cannot cover {len(shard_ids)} workers"
             )
-        self.partitioner_name = partitioner
-        self.slots = slots
-        self.window = window
-        self.refresh_every = refresh_every
         self.refits = 0
         self._ids = sorted(shard_ids)
         self._alive = set(self._ids)
         self._seeds: Dict[str, List[MeasurementPoint]] = {}
         self._observed: Dict[str, Deque[float]] = {
-            sid: deque(maxlen=window) for sid in self._ids
+            sid: deque(maxlen=BALANCE_WINDOW) for sid in self._ids
         }
         self._since_refresh = 0
         self._weights: Dict[str, int] = {sid: 1 for sid in self._ids}
@@ -236,7 +270,7 @@ class FpmBalancer:
                 return
             window.append(seconds)
             self._since_refresh += 1
-            if self._since_refresh >= self.refresh_every:
+            if self._since_refresh >= BALANCE_REFRESH_EVERY:
                 self._refit_locked()
 
     def _model_for(self, sid: str) -> Optional[PiecewiseModel]:
@@ -263,20 +297,21 @@ class FpmBalancer:
         if not alive:
             return
         models = [self._model_for(sid) for sid in alive]
+        equal = {sid: BALANCE_SLOTS // len(alive) for sid in alive}
         weights: Dict[str, int]
         if any(m is None for m in models) or len(alive) == 1:
-            weights = {sid: self.slots // len(alive) for sid in alive}
+            weights = equal
         else:
             try:
-                fn = registry.partitioner(self.partitioner_name)
-                dist = fn(self.slots, models)
+                fn = registry.partitioner(BALANCE_PARTITIONER)
+                dist = fn(BALANCE_SLOTS, models)
                 # A starving share still gets one slot: a slow shard must
                 # stay observable or its model can never recover.
                 weights = {
                     sid: max(1, int(d)) for sid, d in zip(alive, dist.sizes)
                 }
             except (PartitionError, FuPerModError, ValueError):
-                weights = {sid: self.slots // len(alive) for sid in alive}
+                weights = equal
         self._weights = weights
         self._swrr = {sid: 0 for sid in weights}
         self.refits += 1
@@ -324,8 +359,8 @@ class FpmBalancer:
         with self._lock:
             return {
                 "policy": "fpm",
-                "partitioner": self.partitioner_name,
-                "slots": self.slots,
+                "partitioner": BALANCE_PARTITIONER,
+                "slots": BALANCE_SLOTS,
                 "weights": dict(self._weights),
                 "alive": sorted(self._alive),
                 "refits": self.refits,
@@ -338,21 +373,21 @@ class FpmBalancer:
 class WorkerLink:
     """Pooled keep-alive asyncio connections to one worker.
 
-    Lives on the router's event loop.  Up to ``pool`` requests run
-    concurrently, each on its own persistent connection; a request that
-    fails on a *reused* connection retries once on a fresh one, while a
-    fresh-connection failure propagates (the shard is down).
+    Lives on the router's event loop.  Up to :data:`LINK_POOL` requests
+    run concurrently, each on its own persistent connection; a request
+    that fails on a *reused* connection retries once on a fresh one,
+    while a fresh-connection failure propagates (the shard is down).
     """
 
     def __init__(
-        self, shard_id: str, url: str, pool: int = 8, timeout: float = 30.0
+        self, shard_id: str, url: str, timeout: float = WORKER_TIMEOUT_S
     ) -> None:
         self.shard_id = shard_id
         self.url = url.rstrip("/")
         self.host, self.port, self.prefix = parse_base_url(url)
         self.timeout = timeout
         self._free: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self._sem = asyncio.Semaphore(pool)
+        self._sem = asyncio.Semaphore(LINK_POOL)
 
     async def _roundtrip(
         self,
@@ -441,39 +476,24 @@ class PlanRouter(AsyncHTTPBase):
         workers: mapping of shard id to worker base URL.
         routing: ``"fpm"`` (FPM-partitioned smooth weighted round-robin)
             or ``"round-robin"`` for balanced requests.
-        balance_partitioner: partitioner dividing the slot budget when
-            ``routing="fpm"``.
-        replicas: virtual nodes per shard on the affinity ring.
         read_replicas: the fleet's plan replica-set size (how many
             shards hold each committed plan); reported in metrics so
             operators see the durability the fleet was launched with.
         host / port: bind address (port 0 = ephemeral).
-        link_pool: concurrent connections per worker.
-        worker_timeout: per-relay timeout, seconds.
-        retry_rate / retry_burst: the failover :class:`RetryBudget`
-            (tokens per second / bucket depth).  The first shard tried
-            per request is free; each failover hop draws one token, so
-            a partition degrades to fast single-shot serving instead of
-            a retry storm.
-        health_probe_interval: seconds between half-open probe rounds
-            over dead shards (``GET /metrics``); 0 disables probing.
+
+    Failover draws on a default :class:`RetryBudget` (10 tokens per
+    second, bucket depth 20): the first shard tried per request is free
+    and each failover hop draws one token, so a partition degrades to
+    fast single-shot serving instead of a retry storm.
     """
 
     def __init__(
         self,
         workers: Mapping[str, str],
         routing: str = "fpm",
-        balance_partitioner: str = "geometric",
-        replicas: int = DEFAULT_REPLICAS,
         read_replicas: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_body_bytes: int = MAX_BODY_BYTES,
-        link_pool: int = 8,
-        worker_timeout: float = 30.0,
-        retry_rate: float = 10.0,
-        retry_burst: float = 20.0,
-        health_probe_interval: float = 1.0,
     ) -> None:
         if not workers:
             raise FuPerModError("a plan router needs at least one worker")
@@ -482,13 +502,11 @@ class PlanRouter(AsyncHTTPBase):
                 f"unknown routing policy {routing!r} "
                 "(want 'fpm' or 'round-robin')"
             )
-        super().__init__(host, port, max_body_bytes, "fupermod-router")
+        super().__init__(host, port, thread_name="fupermod-router")
         self.routing = routing
-        self.ring = HashRing(workers, replicas=replicas)
+        self.ring = HashRing(workers)
         self.read_replicas = read_replicas
         self._urls = {sid: url.rstrip("/") for sid, url in workers.items()}
-        self._link_pool = link_pool
-        self._worker_timeout = worker_timeout
         self._links: Dict[str, WorkerLink] = {}
         self._dead: set = set()
         # Shards whose durability layer reported memory-only mode: still
@@ -497,14 +515,11 @@ class PlanRouter(AsyncHTTPBase):
         self._memory_only: set = set()
         self._state_lock = threading.Lock()
         self._started_at = time.monotonic()
-        self.retry_budget = RetryBudget(rate=retry_rate, burst=retry_burst)
-        self.health_probe_interval = health_probe_interval
+        self.retry_budget = RetryBudget()
         self._probe_task: Optional["asyncio.Task[None]"] = None
         self._probe_cooldown: Dict[str, float] = {}
         if routing == "fpm":
-            self.balancer = FpmBalancer(
-                list(workers), partitioner=balance_partitioner
-            )
+            self.balancer = FpmBalancer(list(workers))
         else:
             self.balancer = RoundRobinBalancer(list(workers))
         self.counters: Dict[str, int] = {
@@ -527,7 +542,7 @@ class PlanRouter(AsyncHTTPBase):
         """Stop routing to a shard (router also does this on errors).
 
         A dead shard is not gone for good: the half-open health prober
-        pings it (``GET /metrics``) every probe round and revives it the
+        pings it (``GET /health``) every probe round and revives it the
         moment it answers again, so a healed-but-never-restarted shard
         rejoins routing without supervisor intervention.
         """
@@ -577,10 +592,7 @@ class PlanRouter(AsyncHTTPBase):
         with self._state_lock:
             link = self._links.get(shard_id)
             if link is None:
-                link = WorkerLink(
-                    shard_id, self._urls[shard_id],
-                    pool=self._link_pool, timeout=self._worker_timeout,
-                )
+                link = WorkerLink(shard_id, self._urls[shard_id])
                 self._links[shard_id] = link
             return link
 
@@ -678,7 +690,7 @@ class PlanRouter(AsyncHTTPBase):
                         "code": 504,
                     }, None
                 hop_headers = {DEADLINE_HEADER: f"{remaining:.6f}"}
-                hop_timeout = min(self._worker_timeout, remaining)
+                hop_timeout = min(WORKER_TIMEOUT_S, remaining)
             if position > 0 and not self.retry_budget.try_acquire():
                 # Budget spent: fail fast instead of walking the whole
                 # candidate list during a sustained partition.
@@ -750,168 +762,93 @@ class PlanRouter(AsyncHTTPBase):
             "balancer": self.balancer.to_dict(),
         }
 
-    def _replication_summary(
+    def _fleet_sections(
         self, per_shard: Mapping[str, Any]
     ) -> Dict[str, Any]:
-        """The fleet-wide ``replication`` metrics section.
+        """The fleet's summed ``replication``/``plans_by_kind``/``durability``.
 
-        Sums the numeric fields of every reachable shard's own
-        ``replication`` section (replicas written, hints queued/drained,
-        digests served, repairs applied) and adds the router-side
-        partition-tolerance counters (retry-budget exhaustions, probe
-        revivals).
+        Each is one :func:`_fold` over the per-shard sections, with the
+        router's own view around it: the partition-tolerance counters,
+        the durability modes and the shards it believes are serving from
+        memory only.
         """
-        totals: Dict[str, float] = {}
-        reporting = 0
-        for info in per_shard.values():
-            section = info.get("replication") if isinstance(info, dict) else None
-            if not isinstance(section, dict):
-                continue
-            reporting += 1
-            for name, value in section.items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                totals[name] = totals.get(name, 0) + value
+        replicating, replicated, _ = _fold(per_shard, "replication")
+        _, by_kind, _ = _fold(per_shard, "plans_by_kind", (int,))
+        reporting, durability, modes = _fold(per_shard, "durability")
+        counters = self.counters
         return {
-            "replica_set": self.read_replicas,
-            "shards_reporting": reporting,
-            "workers": totals,
-            "router": {
-                "retry_budget_exhausted":
-                    self.counters["retry_budget_exhausted"],
-                "retry_budget_available":
-                    round(self.retry_budget.available(), 3),
-                "deadline_rejected": self.counters["deadline_rejected"],
-                "health_probes": self.counters["health_probes"],
-                "probe_revivals": self.counters["probe_revivals"],
+            "replication": {
+                "replica_set": self.read_replicas,
+                "shards_reporting": replicating,
+                "workers": replicated,
+                "router": {
+                    "retry_budget_exhausted": counters["retry_budget_exhausted"],
+                    "retry_budget_available":
+                        round(self.retry_budget.available(), 3),
+                    "deadline_rejected": counters["deadline_rejected"],
+                    "health_probes": counters["health_probes"],
+                    "probe_revivals": counters["probe_revivals"],
+                },
+            },
+            "plans_by_kind": by_kind,
+            "durability": {
+                "shards_reporting": reporting,
+                "modes": modes,
+                "memory_only": self.memory_only(),
+                "workers": durability,
+                "router": {"durability_probes": counters["durability_probes"]},
             },
         }
 
-    def _durability_summary(
-        self, per_shard: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        """The fleet-wide ``durability`` metrics section.
+    async def _probe_shards(self) -> None:
+        """The health prober: one ``GET /health`` round per interval.
 
-        Sums the numeric fields of every reachable shard's own
-        ``durability`` section (journal append errors, trips, heals,
-        consecutive failures) and reports the degradation ladder's
-        fleet view: which shards the router currently believes are
-        serving from memory only, and a by-mode shard count.
+        Runs on the event loop for the router's whole life.  Every live
+        shard reports its durability mode (``durable``, absent on shards
+        with no durable cache): one that trips to memory-only mid-flood
+        is deprioritized within one interval, and one that heals is
+        restored as fast.  A live shard's failed probe changes nothing:
+        the request path owns marking shards dead.  Every dead shard
+        whose cooldown has lapsed is asked whether it answers again; a
+        200 means the process is healthy (restarted by hand, or the
+        partition healed) and it rejoins routing at once -- ``revive``
+        stays for the supervisor's restart path, which also updates the
+        URL.
         """
-        totals: Dict[str, float] = {}
-        modes: Dict[str, int] = {}
-        reporting = 0
-        for info in per_shard.values():
-            section = info.get("durability") if isinstance(info, dict) else None
-            if not isinstance(section, dict):
-                continue
-            reporting += 1
-            mode = section.get("mode")
-            if isinstance(mode, str):
-                modes[mode] = modes.get(mode, 0) + 1
-            for name, value in section.items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                totals[name] = totals.get(name, 0) + value
-        return {
-            "shards_reporting": reporting,
-            "modes": modes,
-            "memory_only": self.memory_only(),
-            "workers": totals,
-            "router": {
-                "durability_probes": self.counters["durability_probes"],
-            },
-        }
-
-    @staticmethod
-    def _plans_by_kind_summary(per_shard: Mapping[str, Any]) -> Dict[str, int]:
-        """Fleet-wide served-plans-by-kind tally.
-
-        Sums each reachable shard's ``plans_by_kind`` counters (schema
-        ``fupermod-metrics/4``); shards that predate the section, or were
-        unreachable, simply contribute nothing -- the same tolerant
-        summing as :meth:`_replication_summary`.
-        """
-        totals: Dict[str, int] = {}
-        for info in per_shard.values():
-            section = info.get("plans_by_kind") if isinstance(info, dict) else None
-            if not isinstance(section, dict):
-                continue
-            for name, value in section.items():
-                if isinstance(value, bool) or not isinstance(value, int):
-                    continue
-                totals[str(name)] = totals.get(str(name), 0) + value
-        return totals
-
-    async def _probe_dead_shards(self) -> None:
-        """Half-open probe loop: ping dead shards, revive the responsive.
-
-        Runs on the event loop for the router's whole life.  Each round
-        probes every dead shard whose cooldown has lapsed with a cheap
-        ``GET /metrics``; a 200 means the process is healthy again
-        (restarted by hand, or the partition healed) and it rejoins
-        routing immediately -- ``revive`` stays available for the
-        supervisor's explicit restart path, which also updates the URL.
-        """
-        interval = self.health_probe_interval
         while True:
-            await asyncio.sleep(interval)
-            await self._poll_durability()
-            with self._state_lock:
-                dead = sorted(self._dead)
+            await asyncio.sleep(PROBE_INTERVAL_S)
             now = time.monotonic()
-            for sid in dead:
-                with self._state_lock:
-                    since = self._probe_cooldown.get(sid, 0.0)
-                if now - since < interval:
+            with self._state_lock:
+                dead = set(self._dead)
+                cooldown = dict(self._probe_cooldown)
+            for sid in self.ring.shards:
+                live = sid not in dead
+                if not live and now - cooldown.get(sid, 0.0) < PROBE_INTERVAL_S:
                     continue
-                self.counters["health_probes"] += 1
+                self.counters["durability_probes" if live else "health_probes"] += 1
                 try:
-                    status, _headers, _data = await self._link(sid).request(
-                        "GET", "/metrics", timeout=min(2.0, interval * 2),
+                    status, _headers, data = await self._link(sid).request(
+                        "GET", "/health", timeout=PROBE_TIMEOUT_S,
                     )
                 except Exception:
-                    with self._state_lock:
-                        self._probe_cooldown[sid] = time.monotonic()
+                    status, data = 0, b""
+                if not live:
+                    if status == 200:
+                        self.counters["probe_revivals"] += 1
+                        self.revive(sid)
+                    else:
+                        with self._state_lock:
+                            self._probe_cooldown[sid] = time.monotonic()
                     continue
-                if status == 200:
-                    self.counters["probe_revivals"] += 1
-                    self.revive(sid)
-                else:
-                    with self._state_lock:
-                        self._probe_cooldown[sid] = time.monotonic()
-
-    async def _poll_durability(self) -> None:
-        """One ``GET /health`` round over live shards: learn durability.
-
-        Workers report ``durable`` in their health payload (absent on
-        shards with no durable cache).  A shard that trips to
-        memory-only mode mid-flood is deprioritized within one probe
-        interval; one that heals is restored just as fast.  Probe
-        failures change nothing here -- the request path's own error
-        handling owns marking shards dead.
-        """
-        for sid in self.alive():
-            self.counters["durability_probes"] += 1
-            try:
-                status, _headers, data = await self._link(sid).request(
-                    "GET", "/health",
-                    timeout=min(2.0, self.health_probe_interval * 2),
-                )
-                health = json.loads(data.decode("utf-8"))
-                if status != 200 or not isinstance(health, dict):
+                try:
+                    health = json.loads(data.decode("utf-8"))
+                except ValueError:
                     continue
-            except Exception:
-                continue
-            durable = health.get("durable")
-            if isinstance(durable, bool):
-                self.note_durability(sid, durable)
-            else:
-                self.note_durability(sid, True)
+                if status == 200 and isinstance(health, dict):
+                    durable = health.get("durable")
+                    self.note_durability(
+                        sid, durable if isinstance(durable, bool) else True
+                    )
 
     async def _handle_one(
         self, method: str, path: str, body: bytes,
@@ -940,15 +877,7 @@ class PlanRouter(AsyncHTTPBase):
                 "shards": per_shard,
             }
             if norm == "/metrics":
-                out["fleet"]["replication"] = (
-                    self._replication_summary(per_shard)
-                )
-                out["fleet"]["plans_by_kind"] = (
-                    self._plans_by_kind_summary(per_shard)
-                )
-                out["fleet"]["durability"] = (
-                    self._durability_summary(per_shard)
-                )
+                out["fleet"].update(self._fleet_sections(per_shard))
                 out["schema"] = FLEET_METRICS_SCHEMA
                 out["uptime_s"] = time.monotonic() - self._started_at
                 return 200, {"metrics": out}, None
@@ -956,10 +885,9 @@ class PlanRouter(AsyncHTTPBase):
         return 404, {"error": f"no such endpoint {path!r}"}, None
 
     async def _on_start(self) -> None:
-        if self.health_probe_interval > 0.0:
-            self._probe_task = asyncio.get_running_loop().create_task(
-                self._probe_dead_shards()
-            )
+        self._probe_task = asyncio.get_running_loop().create_task(
+            self._probe_shards()
+        )
 
     async def _on_stop(self) -> None:
         if self._probe_task is not None:

@@ -267,24 +267,20 @@ class ShardClient:
     def get_cached(self, key: str) -> Optional[PlanResult]:
         """The peer's cached plan for ``key``, or None (never solves).
 
-        Any malformed answer is treated as a miss -- the engine's
-        sibling-fill validation is the real poisoning guard; this just
-        avoids raising on garbage.
+        The plan of :meth:`get_entry`.  Any malformed answer is treated
+        as a miss -- the engine's sibling-fill validation is the real
+        poisoning guard; this just avoids raising on garbage.
         """
-        status, decoded = self._json("GET", f"/cache/{key}")
-        if status != 200 or "plan" not in decoded:
-            return None
-        try:
-            return PlanResult.from_dict(decoded["plan"])
-        except Exception:
-            return None
+        entry = self.get_entry(key)
+        return entry[0] if entry is not None else None
 
     def get_entry(
         self, key: str
     ) -> Optional[Tuple[PlanResult, str, Optional[Tuple[Any, ...]]]]:
         """The peer's full cache entry: ``(result, models_fp, spec)``.
 
-        The anti-entropy repair path uses this to pull a divergent entry
+        A pure cache peek (``GET /cache/<key>``): sibling fill reads its
+        plan, and the anti-entropy repair path pulls a divergent entry
         from its authoritative holder before pushing it to the shards
         that lack it.  Returns None on a miss or any malformed answer.
         """

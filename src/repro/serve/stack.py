@@ -262,9 +262,9 @@ def purge_unverified(cache: PlanCache, lineage: ModelLineage) -> int:
     """
     verified = lineage.verified_fingerprints()
     purged = 0
-    for item in cache.to_payload():
-        if str(item["models_fp"]) not in verified:
-            cache.invalidate(str(item["key"]))
+    for key, models_fp, _result, _spec in cache.payload_items():
+        if models_fp not in verified:
+            cache.invalidate(key)
             purged += 1
     return purged
 

@@ -436,16 +436,9 @@ class DurablePlanCache(PlanCache):
         check_spec_kind(result, spec)
         with self._lock:
             if not self._replaying:
-                if spec is None:
-                    # Positional call keeps pre-lineage PlanWAL
-                    # subclasses (three-argument signature) working.
-                    self._journal(
-                        lambda: self.wal.append_put(key, models_fp, result)
-                    )
-                else:
-                    self._journal(lambda: self.wal.append_put(
-                        key, models_fp, result, spec=spec
-                    ))
+                self._journal(lambda: self.wal.append_put(
+                    key, models_fp, result, spec=spec
+                ))
             super().put(key, result, models_fp, spec=spec)
             if not self._replaying:
                 self._maybe_compact()

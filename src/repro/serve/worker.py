@@ -13,16 +13,18 @@ surface:
   anti-entropy pulls: the plan's serialized form (plus the model
   fingerprint and request spec it was stored under) if this shard has
   it, 404 otherwise.  Never solves.
-* ``POST /peers`` -- the supervisor's roster broadcast; installs the
-  sibling-fill hook so local misses probe peers (in consistent-hash
-  preference order for the request's affinity key) before solving cold,
-  and feeds the replicator's peer roster (which doubles as its
-  peer-recovery signal for hinted handoff).
+* ``POST /peers`` -- the supervisor's roster broadcast, installed in the
+  :class:`~repro.serve.replicate.PlanReplicator`, which holds the
+  shard's one view of its peers: one ring and one client per peer,
+  shared by sibling fill (local misses probe peers in consistent-hash
+  preference order for the request's affinity key before solving cold)
+  and replica pushes.  A new roster also wakes the hinted-handoff
+  drainer.
 * ``POST /replicate`` / ``GET /digest`` -- the replica write path and
   the anti-entropy digest (see :mod:`repro.serve.replicate`).
 * ``POST /chaos`` / ``GET /chaos`` -- install / inspect a
   transport-fault plan (:mod:`repro.faults.net`) covering this worker's
-  *outbound* links (sibling probes and replica pushes); the netsplit
+  *outbound* links (sibling fills and replica pushes); the netsplit
   suite's seam for asymmetric partitions.
 * a **READY line** on stdout once the port is bound:
   ``{"ready": true, "shard_id": ..., "port": ..., "durability": ...}``
@@ -66,9 +68,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.errors import FuPerModError
 from repro.faults.net import NetChaos, NetFaultPlan, wrap_shard_client
 from repro.serve.aio import AioFrontend
-from repro.serve.fingerprint import affinity_key
-from repro.serve.hashring import HashRing
-from repro.serve.plan import PlanRequest, PlanResult
 from repro.serve.replicate import PlanReplicator
 from repro.serve.server import PlanServer
 from repro.serve.shard import ShardClient
@@ -78,79 +77,8 @@ from repro.serve.stack import add_stack_flags, build_stack
 _SUPERVISOR_POLL_S = 0.5
 
 
-class SiblingFill:
-    """Peer-cache lookup hook for :class:`PlanEngine`.
-
-    On a local miss the engine calls this with the
-    :class:`~repro.serve.plan.PlanRequest`; peers are probed with a pure
-    cache peek (``GET /cache/<key>``) in consistent-hash preference
-    order for the request's affinity key -- the home shard, which the
-    router sends that key to, is asked first.  A dead or slow peer is
-    skipped (never fatal); at most ``max_probes`` peers are asked before
-    giving up and solving cold.
-    """
-
-    def __init__(
-        self,
-        shard_id: str,
-        max_probes: int = 2,
-        timeout: float = 2.0,
-        client_factory=None,
-    ) -> None:
-        self.shard_id = shard_id
-        self.max_probes = max_probes
-        self.timeout = timeout
-        # The client seam the transport-fault layer wraps: probes to
-        # peers go through whatever clients this factory builds.
-        self._client_factory = client_factory or (
-            lambda url, sid, tmo: ShardClient(url, sid, timeout=tmo)
-        )
-        self._lock = threading.Lock()
-        self._clients: Dict[str, ShardClient] = {}
-        self._ring = HashRing()
-
-    def set_peers(self, peers: Sequence[Dict[str, str]]) -> int:
-        """Install the roster (``[{"shard_id", "url"}, ...]``, self included)."""
-        clients: Dict[str, ShardClient] = {}
-        ring = HashRing()
-        for peer in peers:
-            sid, url = str(peer["shard_id"]), str(peer["url"])
-            ring.add(sid)
-            if sid != self.shard_id:
-                clients[sid] = self._client_factory(url, sid, self.timeout)
-        with self._lock:
-            self._clients = clients
-            self._ring = ring
-        return len(clients)
-
-    def __call__(self, request: PlanRequest) -> Optional[PlanResult]:
-        with self._lock:
-            clients = dict(self._clients)
-            ring = self._ring
-        if not clients:
-            return None
-        key = affinity_key(request.total, request.partitioner,
-                           request.option_dict())
-        order = [s for s in ring.preference(key) if s in clients]
-        probed = 0
-        for sid in order:
-            if probed >= self.max_probes:
-                break
-            probed += 1
-            try:
-                got = clients[sid].get_cached(request.key)
-            except Exception:
-                continue  # dead peer: the next preference may answer
-            if got is not None:
-                return got
-        return None
-
-
 def _extra_routes(
-    server: PlanServer,
-    sibling: SiblingFill,
-    replicator: Optional[PlanReplicator] = None,
-    chaos: Optional[NetChaos] = None,
+    server: PlanServer, replicator: PlanReplicator, chaos: NetChaos
 ):
     """The worker's fleet-internal routes for the asyncio front end."""
 
@@ -171,44 +99,36 @@ def _extra_routes(
         if not isinstance(peers, list):
             return 400, {"error": "'peers' must be a list of shard records"}
         try:
-            count = sibling.set_peers(peers)
-            if replicator is not None:
-                replicator.set_peers(peers)
+            count = replicator.set_peers(peers)
         except (KeyError, TypeError, FuPerModError) as exc:
             return 400, {"error": f"bad peer roster: {exc}"}
         return 200, {"ok": True, "peers": count}
 
-    routes = {
+    def replicate(_path: str, payload) -> Tuple[int, Dict[str, Any]]:
+        return replicator.apply_replicate(payload)
+
+    def digest(_path: str, _payload) -> Tuple[int, Dict[str, Any]]:
+        return 200, replicator.digest()
+
+    def set_chaos(_path: str, payload) -> Tuple[int, Dict[str, Any]]:
+        try:
+            plan = NetFaultPlan.from_dict(payload or {})
+        except FuPerModError as exc:
+            return 400, {"error": str(exc)}
+        chaos.set_plan(plan)
+        return 200, {"ok": True, "plan": plan.to_dict()}
+
+    def get_chaos(_path: str, _payload) -> Tuple[int, Dict[str, Any]]:
+        return 200, chaos.stats()
+
+    return {
         "GET /cache/": cache_peek,
         "POST /peers": set_peers,
+        "POST /replicate": replicate,
+        "GET /digest": digest,
+        "POST /chaos": set_chaos,
+        "GET /chaos": get_chaos,
     }
-
-    if replicator is not None:
-        def replicate(_path: str, payload) -> Tuple[int, Dict[str, Any]]:
-            return replicator.apply_replicate(payload)
-
-        def digest(_path: str, _payload) -> Tuple[int, Dict[str, Any]]:
-            return 200, replicator.digest()
-
-        routes["POST /replicate"] = replicate
-        routes["GET /digest"] = digest
-
-    if chaos is not None:
-        def set_chaos(_path: str, payload) -> Tuple[int, Dict[str, Any]]:
-            try:
-                plan = NetFaultPlan.from_dict(payload or {})
-            except FuPerModError as exc:
-                return 400, {"error": str(exc)}
-            chaos.set_plan(plan)
-            return 200, {"ok": True, "plan": plan.to_dict()}
-
-        def get_chaos(_path: str, _payload) -> Tuple[int, Dict[str, Any]]:
-            return 200, chaos.stats()
-
-        routes["POST /chaos"] = set_chaos
-        routes["GET /chaos"] = get_chaos
-
-    return routes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="disk_fault_plan", metavar="JSON",
                         help="seeded DiskFaultPlan file spliced under this "
                              "shard's journals (the disk chaos seam)")
-    parser.add_argument("--sibling-probes", type=int, default=2,
-                        dest="sibling_probes",
-                        help="peers asked per miss before solving cold")
     parser.add_argument("--slowdown", type=float, default=0.0, metavar="MS",
                         help="simulated per-request service time in "
                              "milliseconds (models a slower shard)")
@@ -259,9 +176,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     server, lineage = stack.server, stack.lineage
 
-    # One fault controller covers every outbound link this worker owns
-    # (sibling probes and replica pushes): the netsplit suite partitions
-    # a worker by POSTing a plan to /chaos, and both transports see it.
+    # One fault controller covers every outbound link this worker owns:
+    # the netsplit suite partitions a worker by POSTing a plan to /chaos.
     chaos = NetChaos()
 
     def chaotic_client(url: str, sid: str, tmo: float) -> ShardClient:
@@ -269,15 +185,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ShardClient(url, sid, timeout=tmo), chaos, args.shard_id
         )
 
-    sibling = SiblingFill(
-        args.shard_id, max_probes=args.sibling_probes,
-        client_factory=chaotic_client,
-    )
-
-    # Replica placement: every freshly committed plan is pushed to its
-    # ring successors off the request path; failed pushes become durable
-    # hints beside the cache WAL.  The replicator shares the chaos-
-    # wrapped client factory, so partitions cut replication too.
+    # The replicator owns the peers: every freshly committed plan is
+    # pushed to its ring successors off the request path (failed pushes
+    # become durable hints beside the cache WAL), and local misses are
+    # filled from the same peers' caches.  Its clients come from the
+    # chaos-wrapped factory, so a partition cuts fills and pushes alike.
     epoch_source = None
     if lineage is not None:
         epoch_source = lambda: (lineage.epoch, lineage.fingerprint)  # noqa: E731
@@ -288,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         opener=opener,
     )
     pending_hints = replicator.recover()
-    server.engine.sibling_fill = sibling
+    server.engine.sibling_fill = replicator.sibling_fill
     server.engine.on_commit = replicator.plan_committed
     server.replication = replicator.stats
 
@@ -303,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     frontend = AioFrontend(
         server, host=args.host, port=args.port,
-        extra_routes=_extra_routes(server, sibling, replicator, chaos),
+        extra_routes=_extra_routes(server, replicator, chaos),
         plan_hook=plan_hook,
     )
     frontend.start()

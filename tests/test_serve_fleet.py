@@ -11,14 +11,20 @@ The invariants:
   plan served by the owning worker directly (raw relay);
 * a local miss is filled from a sibling's cache bit-identically instead
   of re-solving;
-* ``/metrics`` aggregates every shard under the fleet schema;
+* ``/metrics`` aggregates every shard under the fleet schema, and its
+  summed sections are pinned on synthetic per-shard input;
+* one probe round asks every shard ``GET /health``: live ones for their
+  durability, dead ones whether they answer again;
 * the FPM balancer runs on models fitted to measured worker service
   rates -- the repo's own methodology routing its own traffic.
 """
 
 from __future__ import annotations
 
+import http.server
 import json
+import threading
+import time
 
 import pytest
 
@@ -30,7 +36,7 @@ from repro.serve import (
     ShardClient,
     affinity_key,
 )
-from repro.serve.router import FpmBalancer, RoundRobinBalancer
+from repro.serve.router import FpmBalancer, PlanRouter, RoundRobinBalancer
 
 pytestmark = [pytest.mark.serve, pytest.mark.fleet]
 
@@ -213,3 +219,114 @@ class TestBalancers:
         balancer = FpmBalancer(["a", "b"])
         balancer.set_alive("a", False)
         assert all(balancer.next() == "b" for _ in range(5))
+
+
+class TestFleetSectionsFold:
+    """The router's summed ``/metrics`` sections, without processes.
+
+    The literals were computed by the implementation that summed each
+    section with its own loop.
+    """
+
+    PER_SHARD = {
+        "s0": {
+            "replication": {"replicas_written": 3, "hints_queued": 1,
+                            "replicas": 2, "durable_hints": True,
+                            "lag_s": 0.25},
+            "durability": {"mode": "durable", "append_errors": 0, "trips": 0,
+                           "degraded": False, "last_disk_error": None,
+                           "fill": 0.5},
+            "plans_by_kind": {"time": 3, "pareto": 1},
+        },
+        "s1": {
+            "replication": {"replicas_written": 2, "hints_queued": 0,
+                            "replicas": 2, "durable_hints": False,
+                            "lag_s": 1.5},
+            "durability": {"mode": "memory-only", "append_errors": 4,
+                           "trips": 1, "degraded": True,
+                           "last_disk_error": "ENOSPC", "fill": 0.25},
+            "plans_by_kind": {"time": 2, "share": 0.5, "flag": True},
+        },
+        "s2": {"error": "unreachable: HTTP 503"},
+        "s3": {"replication": "n/a", "durability": None},
+    }
+
+    def test_sections_match_pinned_literals(self):
+        router = PlanRouter(
+            {sid: "http://127.0.0.1:1" for sid in ("s0", "s1", "s2", "s3")}
+        )
+        router.note_durability("s1", False)
+        sections = router._fleet_sections(self.PER_SHARD)
+        assert sections == {
+            "replication": {
+                "replica_set": 2,
+                "shards_reporting": 2,
+                "workers": {"replicas_written": 5, "hints_queued": 1,
+                            "replicas": 4, "lag_s": 1.75},
+                "router": {"retry_budget_exhausted": 0,
+                           "retry_budget_available": 20.0,
+                           "deadline_rejected": 0, "health_probes": 0,
+                           "probe_revivals": 0},
+            },
+            "plans_by_kind": {"time": 5, "pareto": 1},
+            "durability": {
+                "shards_reporting": 2,
+                "modes": {"durable": 1, "memory-only": 1},
+                "memory_only": ["s1"],
+                "workers": {"append_errors": 4, "trips": 1, "fill": 0.75},
+                "router": {"durability_probes": 0},
+            },
+        }
+        assert list(sections) == ["replication", "plans_by_kind", "durability"]
+
+
+class _HealthStub(http.server.BaseHTTPRequestHandler):
+    """A shard that only answers ``GET /health``, memory-only, and logs paths."""
+
+    protocol_version = "HTTP/1.1"
+    paths: list = []
+
+    def do_GET(self):
+        type(self).paths.append(self.path)
+        status, body = (
+            (200, {"ok": True, "durable": False}) if self.path == "/health"
+            else (404, {"error": "no such endpoint"})
+        )
+        data = json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *_args):
+        pass
+
+
+class TestProbeRound:
+    """The router's one probe coroutine, against in-process stub shards."""
+
+    def test_live_and_dead_shards_get_health_probes(self):
+        _HealthStub.paths = []
+        stub = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _HealthStub)
+        threading.Thread(target=stub.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{stub.server_address[1]}"
+        router = PlanRouter({"s0": url, "s1": url})
+        try:
+            router.mark_dead("s1")
+            router.start()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                "s1" not in router.alive() or "s0" not in router.memory_only()
+            ):
+                time.sleep(0.05)
+            assert router.alive() == ["s0", "s1"]  # the dead shard revived
+            assert "s0" in router.memory_only()  # the live one's durability
+            counters = router.counters
+            assert counters["durability_probes"] >= 1
+            assert counters["health_probes"] >= 1
+            assert counters["probe_revivals"] == 1
+            assert _HealthStub.paths and set(_HealthStub.paths) == {"/health"}
+        finally:
+            router.stop()
+            stub.shutdown()
+            stub.server_close()

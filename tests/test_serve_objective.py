@@ -234,7 +234,8 @@ class TestServingRoundTrip:
             "s1": {"plans_by_kind": {"time": 2}},
             "s2": {"error": "unreachable"},
         }
-        summary = PlanRouter._plans_by_kind_summary(per_shard)
+        router = PlanRouter({sid: "http://127.0.0.1:1" for sid in per_shard})
+        summary = router._fleet_sections(per_shard)["plans_by_kind"]
         assert summary == {"time": 5, "pareto": 1}
 
 

@@ -13,6 +13,10 @@ contracts it is built from, without sockets:
   to ring successors, journals failed pushes as durable hints, drains
   them when the peer answers again, and survives a home crash between
   the two;
+* its sibling fill asks at most two peers in ring preference order,
+  skips failing ones, and shares one client per peer with the pushes;
+* its digest is pinned: the entries a fixed cache digests to do not
+  move;
 * ``apply_replicate`` refuses entries that do not answer their own key
   (the poisoning guard) and never routes through the engine (no
   replication storms);
@@ -31,6 +35,8 @@ import pytest
 
 from tests.conftest import model_from_time_fn, points_from_time_fn
 from repro.core.models import PiecewiseModel
+from repro.core.partition.cert import ConvergenceCert
+from repro.core.partition.pareto import ParetoPoint
 from repro.errors import FuPerModError, PersistenceError
 from repro.faults import corrupt_wal
 from repro.serve import (
@@ -77,11 +83,17 @@ def make_entry(total=100, sizes=(60, 40), fp=FP, source="s0"):
 
 
 class StubNet:
-    """A fake fleet: records pushes per shard, fails the 'down' ones."""
+    """A fake fleet: records pushes and cache peeks per shard, fails the
+    'down' ones, and serves each shard's ``cached`` plans."""
 
     def __init__(self):
         self.down = set()
         self.pushes = defaultdict(list)
+        self.cached = defaultdict(dict)
+        self.probes = []
+        self.clients = []
+        # What each client carried, by client id: "push" and/or "fill".
+        self.users = defaultdict(set)
         self.lock = threading.Lock()
 
     def factory(self, url, sid, timeout):
@@ -93,12 +105,24 @@ class StubNet:
                     if sid in net.down:
                         raise ConnectionError(f"{sid} unreachable")
                     net.pushes[sid].append(entry)
+                    net.users[id(self)].add("push")
                 return True
+
+            def get_cached(self, key):
+                with net.lock:
+                    net.probes.append(sid)
+                    net.users[id(self)].add("fill")
+                    if sid in net.down:
+                        raise ConnectionError(f"{sid} unreachable")
+                    return net.cached[sid].get(key)
 
             def close(self):
                 pass
 
-        return _Client()
+        client = _Client()
+        with self.lock:
+            self.clients.append((sid, client))
+        return client
 
     def count(self, sid):
         with self.lock:
@@ -336,6 +360,112 @@ class TestPlanReplicator:
             rep.close()
 
 
+class TestSiblingFill:
+    """Fills ask the replicator's own peers, in ring preference order."""
+
+    def _replicator(self, net, replicas=2):
+        rep = PlanReplicator(
+            "s0", PlanCache(), replicas=replicas, client_factory=net.factory,
+        )
+        rep.set_peers(roster("s0", "s1", "s2", "s3"))
+        return rep
+
+    def _preference(self, rep, request):
+        """The peers in ring preference order for the request, self left out."""
+        key = affinity_key(request.total, request.partitioner,
+                           request.option_dict())
+        return [sid for sid in rep._ring.preference(key) if sid != "s0"]
+
+    def test_asks_two_peers_in_preference_order_skipping_itself(self):
+        net = StubNet()
+        rep = self._replicator(net)
+        try:
+            request, _ = make_result()
+            assert rep.sibling_fill(request) is None  # nobody holds it
+            assert net.probes == self._preference(rep, request)[:2]
+            assert "s0" not in net.probes
+        finally:
+            rep.close()
+
+    def test_the_first_peer_holding_the_plan_answers(self):
+        net = StubNet()
+        rep = self._replicator(net)
+        try:
+            request, result = make_result()
+            first, second = self._preference(rep, request)[:2]
+            net.cached[first][request.key] = result
+            net.cached[second][request.key] = "not asked"
+            assert rep.sibling_fill(request) is result
+            assert net.probes == [first]
+        finally:
+            rep.close()
+
+    def test_a_failing_peer_is_skipped(self):
+        net = StubNet()
+        rep = self._replicator(net)
+        try:
+            request, result = make_result()
+            first, second, third = self._preference(rep, request)
+            net.down.add(first)
+            net.cached[second][request.key] = result
+            net.cached[third][request.key] = "beyond the cap"
+            assert rep.sibling_fill(request) is result
+            assert net.probes == [first, second]
+            net.probes.clear()
+            net.down.add(second)
+            assert rep.sibling_fill(request) is None  # two asked, both down
+            assert net.probes == [first, second]
+        finally:
+            rep.close()
+
+    def test_a_single_copy_fleet_still_fills(self):
+        net = StubNet()
+        rep = self._replicator(net, replicas=1)
+        try:
+            request, result = make_result()
+            home = self._preference(rep, request)[0]
+            net.cached[home][request.key] = result
+            assert rep.sibling_fill(request) is result
+        finally:
+            rep.close()
+
+    def test_no_peers_no_probes(self):
+        net = StubNet()
+        rep = PlanReplicator("s0", PlanCache(), client_factory=net.factory)
+        try:
+            request, _ = make_result()
+            assert rep.sibling_fill(request) is None
+            rep.set_peers(roster("s0"))
+            assert rep.sibling_fill(request) is None
+            assert net.probes == [] and net.clients == []
+        finally:
+            rep.close()
+
+    def test_one_client_per_peer_carries_fills_and_pushes(self):
+        net = StubNet()
+        rep = self._replicator(net)
+        try:
+            assert sorted(sid for sid, _ in net.clients) == ["s1", "s2", "s3"]
+            request, result = make_result()
+            assert rep.sibling_fill(request) is None
+            rep.plan_committed(request, result)
+            assert rep.quiesce()
+            pushed = [sid for sid in ("s1", "s2", "s3") if net.count(sid)]
+            # The replica set is a prefix of the ring preference, so the
+            # fill asked every push target, through the same client.
+            assert pushed and set(pushed) <= set(net.probes)
+            clients = dict(net.clients)
+            for sid in pushed:
+                assert net.users[id(clients[sid])] == {"fill", "push"}
+            assert len(net.clients) == 3  # no client is built per use
+            # A new roster builds one client per peer, once.
+            rep.set_peers(roster("s0", "s1", "s2"))
+            assert sorted(sid for sid, _ in net.clients[3:]) == ["s1", "s2"]
+            assert rep.stats()["peers"] == 2
+        finally:
+            rep.close()
+
+
 class TestApplyReplicate:
     def _receiver(self):
         return PlanReplicator("s1", PlanCache(), replicas=2)
@@ -406,6 +536,77 @@ class TestDigest:
             )
             assert digest["pending_hints"] == 0
             assert rep.stats()["digests_served"] == 1
+        finally:
+            rep.close()
+
+    def test_digest_matches_pinned_literals(self):
+        """Time and Pareto entries, with and without a spec.
+
+        The literals were computed by the implementation that decoded
+        and re-encoded every cached plan before fingerprinting it.
+        """
+        cert = ConvergenceCert("geometric", True, 7, 64, 0.1 + 0.2, 1e-9,
+                               "warm")
+
+        def time_plan(total, sizes, times):
+            request = PlanRequest.make(FP, total)
+            return request, PlanResult(
+                key=request.key, total=total, sizes=tuple(sizes),
+                times=tuple(times), algorithm="geometric", cert=cert,
+                compute_seconds=0.00123,
+            )
+
+        def pareto_plan(total, alpha):
+            request = PlanRequest.make(
+                FP, total, kind="pareto", energy_fp="e" * 16,
+                objective={"alpha": alpha, "npoints": 3},
+            )
+            fast = ParetoPoint((total - 40, 40), (0.1 * 3, 0.7), 0.7, 12.5,
+                               1.0, cert)
+            frugal = ParetoPoint((total - 10, 10), (1 / 3, 0.2), 1 / 3, 9.75,
+                                 0.0)
+            return request, PlanResult(
+                key=request.key, total=total, sizes=fast.sizes,
+                times=fast.times, algorithm="geometric", cert=cert,
+                kind="pareto", front=(fast, frugal), compute_seconds=0.5,
+            )
+
+        rep = PlanReplicator("s0", PlanCache(), replicas=2,
+                             epoch_source=lambda: (3, "f" * 16))
+        try:
+            for request, result, with_spec in (
+                time_plan(100, (60, 40), (0.6, 0.4 + 1e-17)) + (True,),
+                time_plan(250, (200, 50), (2 / 3, 0.1)) + (True,),
+                time_plan(300, (150, 150), (1.5, 1.5)) + (False,),
+                pareto_plan(500, 0.5) + (True,),
+                pareto_plan(700, 0.25) + (False,),
+            ):
+                rep.cache.put(request.key, result, request.models_fp,
+                              spec=request.spec if with_spec else None)
+            assert rep.digest() == {
+                "shard_id": "s0",
+                "entries": [
+                    ["767bdc0d22cbf7af787cd843b58b06790cdb02f17d2f9b656ca6052d4807b060",
+                     "d1e22a1db597802871fe4ebfde5f3db7b452c564892183ad401f514427657ebe",
+                     None],
+                    ["aebc6931abd1d8b0a77b6fef5cc52a90937ebab1ee24980d9050333837b31852",
+                     "a35bb050b6030e4b34750da8cd2f454968840ba98d7914173233490c9b1378ba",
+                     "1b81fef1814fe5d7b8c27266e8377379e686cca5fe83786409248217c383bf1f"],
+                    ["b8cb80b4ad8d5ae989751d2d8b1389a8ab96d046cd4d68c6b2178d3b5d01d14e",
+                     "5671404f9654057126c6502ba60b5b0ca1be7e4d9cad985f4c9789822d0dc11f",
+                     "b35201f9b68eafb36a5fd4bc9c0a2fe4acd0ec0e7fb58d78fac888d6d6c0be37"],
+                    ["ce3d727d2c6b1ced8784aba298df310cd8cef6046a555ae2b582702e04f61617",
+                     "0e9f03696c078b859f95d896d4c405e30d4b4db6aece909da302e573d8105375",
+                     "a4648b4258c929430de089db258afd5322766698ebc91d6036d779c9ab8648a8"],
+                    ["d759cd3841dd291c930d56c70dbdea5692bf74076c10e813f50ca682d76cec99",
+                     "e419f8098d369ec9148285aa4e7f973a3358f44e1df1c8a44a47d205877f4b78",
+                     None],
+                ],
+                "pending_hints": 0,
+                "fingerprint_version": "fp1",
+                "epoch": 3,
+                "models_fp": "f" * 16,
+            }
         finally:
             rep.close()
 

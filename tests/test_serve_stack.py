@@ -48,8 +48,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 CLI_ONLY = {"--workers", "--routing", "--http"}
 WORKER_ONLY = {
-    "--shard-id", "--slowdown", "--sibling-probes", "--probe-interval",
-    "--disk-fault-plan",
+    "--shard-id", "--slowdown", "--probe-interval", "--disk-fault-plan",
 }
 
 

@@ -298,10 +298,10 @@ class TestCompaction:
         class Journal(PlanWAL):
             observed = []
 
-            def append_put(self, key, models_fp, result):
+            def append_put(self, key, models_fp, result, spec=None):
                 # At journal time the cache must NOT yet hold the entry.
                 Journal.observed.append(key in cache)
-                super().append_put(key, models_fp, result)
+                super().append_put(key, models_fp, result, spec=spec)
 
         cache.wal.close()
         cache.wal = Journal(cache.wal.path)
